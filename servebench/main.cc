@@ -6,9 +6,12 @@
  *              [--commit <id>] [--trace-dir <dir>]
  *
  * A run executes episodes (set-up, then the fixed work of sub-seed
- * mix(seed, k) for episode k) until --seconds have passed, with at least
- * kMinEpisodes of them, and reports medians over episodes and percentiles
- * over the pooled samples. --trace 0 prints the end-to-end metrics;
+ * mix(seed, k) for episode k), at least kMinEpisodes of them and more
+ * while another is expected to end within --seconds. Timings are medians
+ * over episodes of each episode's own statistic, so a burst of contention
+ * on the shared host that slows one episode does not move them; only the
+ * TTFT tail pools the samples of every episode, because one episode has
+ * too few requests for a tail. --trace 0 prints the end-to-end metrics;
  * --trace 1 alternates untraced and traced episodes and prints the
  * per-layer metrics, writing the traced spans as Chrome trace-event JSON.
  * Either way the run checks its outputs and exits non-zero, printing no
@@ -44,8 +47,8 @@ constexpr uint64_t kModelSeed = 1;
 constexpr size_t kMinEpisodes = 4;
 /** Untraced + traced episode pairs per --trace 1 run, at least. */
 constexpr size_t kMinPairs = 2;
-/** Set-ups timed per run (episodes each time one; the rest stand alone). */
-constexpr size_t kMinSetups = 16;
+/** Set-ups timed per episode: the episode's own and stand-alone ones. */
+constexpr size_t kSetupsPerEpisode = 2;
 /** Quality metrics at or below this NMSE (bit-exact and fp32-rounding
  *  paths) read as the floor, so the metric is never 0. */
 constexpr double kNmseFloor = 1e-9;
@@ -598,20 +601,24 @@ int
 runEndToEnd(const Args &a, Episodes &w, Backend backend)
 {
     const double hostBefore = hostMflops();
+    // Stand-alone set-ups follow each episode, so set-ups are timed across
+    // the whole run rather than in one stretch of it.
     std::vector<EpisodeOut> eps;
+    std::vector<double> setupS;
     const auto start = Clock::now();
-    while (eps.size() < kMinEpisodes || seconds(start) < a.seconds)
-        eps.push_back(runEpisode(w[eps.size()], backend, false));
+    for (;;) {
+        const size_t n = eps.size();
+        if (n >= kMinEpisodes && seconds(start) * (n + 1) / n > a.seconds)
+            break;
+        eps.push_back(runEpisode(w[n], backend, false));
+        setupS.push_back(eps.back().setupS);
+        while (setupS.size() < kSetupsPerEpisode * eps.size())
+            setupS.push_back(setUp(w[n], backend, nullptr, false)->seconds);
+    }
     struct rusage ru;
     getrusage(RUSAGE_SELF, &ru);
     const double peakRssMiB = double(ru.ru_maxrss) / 1024.0;
     const double hostAfter = hostMflops();
-
-    std::vector<double> setupS;
-    for (const EpisodeOut &e : eps)
-        setupS.push_back(e.setupS);
-    while (setupS.size() < kMinSetups)
-        setupS.push_back(setUp(w[0], backend, nullptr, false)->seconds);
 
     // Checks and the quality reference, outside the timed window. (Traced
     // and untraced episodes are compared by --trace 1 runs.)
@@ -640,24 +647,39 @@ runEndToEnd(const Args &a, Episodes &w, Backend backend)
              " served tokens not reproduced by a single-request replay");
     const double qualityS = seconds(t);
 
+    // Per-episode latency samples, and every episode's pooled together.
+    std::vector<Latency> per(eps.size());
     Latency lat;
-    std::vector<double> tps, peakKv;
-    size_t ttftBase = 0, itlBase = 0;
+    size_t ttftBase = 0, itlBase = SIZE_MAX;
     for (size_t k = 0; k < eps.size(); ++k) {
-        const EpisodeOut &e = eps[k];
-        const int64_t before = lat.tokens;
-        addLatency(w[k], e, lat);
-        tps.push_back(double(lat.tokens - before) / e.wallS);
-        peakKv.push_back(double(e.pool.peakAllocatedBytes()) / 1048576.0);
-        if (k + 1 == kMinEpisodes) {
-            ttftBase = lat.ttftMs.size();
-            itlBase = lat.itlMs.size();
+        addLatency(w[k], eps[k], per[k]);
+        addLatency(w[k], eps[k], lat);
+        if (k < kMinEpisodes) {
+            ttftBase += per[k].ttftMs.size();
+            itlBase = std::min(itlBase, per[k].itlMs.size());
         }
     }
     // Percentiles are chosen from the samples of the first kMinEpisodes
-    // episodes, so the choice depends on the seed alone.
+    // episodes, so the choice depends on the seed alone: the TTFT tail from
+    // their pooled samples, the ITL tail from the smallest episode's.
     const int ttftP = tailPercentile(ttftBase);
     const int itlP = tailPercentile(itlBase);
+    std::vector<double> tps, peakKv, ttft50, itl50, itlTail, tpot50;
+    size_t ttftMin = SIZE_MAX, itlMin = SIZE_MAX, tpotMin = SIZE_MAX;
+    for (size_t k = 0; k < eps.size(); ++k) {
+        const Latency &l = per[k];
+        ttftMin = std::min(ttftMin, l.ttftMs.size());
+        itlMin = std::min(itlMin, l.itlMs.size());
+        tpotMin = std::min(tpotMin, l.tpotMs.size());
+        tps.push_back(double(l.tokens) / eps[k].wallS);
+        peakKv.push_back(double(eps[k].pool.peakAllocatedBytes()) / 1048576.0);
+        ttft50.push_back(pct(l.ttftMs, 50));
+        itl50.push_back(pct(l.itlMs, 50));
+        itlTail.push_back(pct(l.itlMs, itlP));
+        tpot50.push_back(pct(l.tpotMs, 50));
+    }
+    const std::string perEpisode =
+        " per episode, median of " + std::to_string(eps.size()) + " episodes";
     const double nmse = q.refSq > 0.0 ? q.errSq / q.refSq : 0.0;
 
     std::ostringstream extra;
@@ -667,18 +689,28 @@ runEndToEnd(const Args &a, Episodes &w, Backend backend)
     extra << ", \"host_mflops\": [" << num(hostBefore) << ", "
           << num(hostAfter) << "]"
           << ", \"episodes\": " << eps.size() << ", \"episode_s\": "
-          << num(median(episodeS)) << ", \"episode_tokens_per_s\": [";
-    for (size_t k = 0; k < tps.size(); ++k)
-        extra << (k ? ", " : "") << num(tps[k]);
-    extra << "], \"check_s\": {\"replay\": "
+          << num(median(episodeS)) << ", \"per_episode\": {";
+    const std::pair<const char *, const std::vector<double> *> series[] = {
+        {"tokens_per_s", &tps},    {"ttft_p50_ms", &ttft50},
+        {"itl_p50_ms", &itl50},    {"itl_tail_ms", &itlTail},
+        {"tpot_p50_ms", &tpot50}};
+    const char *sep = "";
+    for (const auto &[name, xs] : series) {
+        extra << sep << jsonString(name) << ": [";
+        for (size_t k = 0; k < xs->size(); ++k)
+            extra << (k ? ", " : "") << num((*xs)[k]);
+        extra << "]";
+        sep = ", ";
+    }
+    extra << "}, \"check_s\": {\"replay\": "
           << num(replayCheckS) << ", \"quality\": " << num(qualityS) << "}"
           << ", \"percentiles\": {"
-          << "\"ttft_p50_ms\": " << jsonString(pctOf(50, lat.ttftMs.size()))
+          << "\"ttft_p50_ms\": " << jsonString(pctOf(50, ttftMin) + perEpisode)
           << ", \"ttft_tail_ms\": "
-          << jsonString(pctOf(ttftP, lat.ttftMs.size()))
-          << ", \"itl_p50_ms\": " << jsonString(pctOf(50, lat.itlMs.size()))
-          << ", \"itl_tail_ms\": " << jsonString(pctOf(itlP, lat.itlMs.size()))
-          << ", \"tpot_p50_ms\": " << jsonString(pctOf(50, lat.tpotMs.size()))
+          << jsonString(pctOf(ttftP, lat.ttftMs.size()) + " pooled")
+          << ", \"itl_p50_ms\": " << jsonString(pctOf(50, itlMin) + perEpisode)
+          << ", \"itl_tail_ms\": " << jsonString(pctOf(itlP, itlMin) + perEpisode)
+          << ", \"tpot_p50_ms\": " << jsonString(pctOf(50, tpotMin) + perEpisode)
           << "}, \"quality\": {\"requests\": " << q.requests
           << ", \"positions\": " << q.positions << ", \"raw_nmse\": "
           << num(nmse) << ", \"nmse_floor\": " << num(kNmseFloor)
@@ -691,15 +723,13 @@ runEndToEnd(const Args &a, Episodes &w, Backend backend)
          "median of " + std::to_string(setupS.size()) + " set-ups"},
         {"tokens_per_s", median(tps), "tok/s",
          "median of " + std::to_string(tps.size()) + " episodes"},
-        {"ttft_p50_ms", pct(lat.ttftMs, 50), "ms",
-         pctOf(50, lat.ttftMs.size())},
+        {"ttft_p50_ms", median(ttft50), "ms", pctOf(50, ttftMin) + perEpisode},
         {"ttft_tail_ms", pct(lat.ttftMs, ttftP), "ms",
-         pctOf(ttftP, lat.ttftMs.size())},
-        {"itl_p50_ms", pct(lat.itlMs, 50), "ms", pctOf(50, lat.itlMs.size())},
-        {"itl_tail_ms", pct(lat.itlMs, itlP), "ms",
-         pctOf(itlP, lat.itlMs.size())},
-        {"tpot_p50_ms", pct(lat.tpotMs, 50), "ms",
-         pctOf(50, lat.tpotMs.size())},
+         pctOf(ttftP, lat.ttftMs.size()) + " pooled"},
+        {"itl_p50_ms", median(itl50), "ms", pctOf(50, itlMin) + perEpisode},
+        {"itl_tail_ms", median(itlTail), "ms",
+         pctOf(itlP, itlMin) + perEpisode},
+        {"tpot_p50_ms", median(tpot50), "ms", pctOf(50, tpotMin) + perEpisode},
         {"slo_attain", ratio(lat.sloMet, lat.attempted), "fraction",
          std::to_string(lat.sloMet) + " of " +
              std::to_string(lat.attempted) + " requests"},

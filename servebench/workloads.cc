@@ -171,8 +171,8 @@ tokensOf(const Episode &episode, int index)
  * next turn as soon as its previous reply retired (observed after a
  * step), so up to 4 clients wait for admission. Every prompt is the
  * whole conversation so far: a 128-token system prompt shared by all
- * clients and every earlier user turn and reply (at most about 400
- * tokens in three turns, so no conversation needs restarting). The prefix
+ * clients and every earlier user turn and reply (at most about 290
+ * tokens in two turns, so no conversation needs restarting). The prefix
  * cache serves most of each prompt; fp32 KV and no scheme, so Tender's
  * quantization is bypassed.
  */
@@ -180,7 +180,7 @@ class ChatMultiturn : public Workload
 {
   public:
     static constexpr int kClients = 12;
-    static constexpr int kTurns = 3;
+    static constexpr int kTurns = 2;
     static constexpr int kSystemTokens = 128;
 
     explicit ChatMultiturn(uint64_t seed)
@@ -228,7 +228,7 @@ class ChatMultiturn : public Workload
     std::string
     describe() const override
     {
-        return "closed loop: 12 Interactive clients x 3 turns, maxBatch 8, "
+        return "closed loop: 12 Interactive clients x 2 turns, maxBatch 8, "
                "128-token shared system prompt, 16-48-token user turns, "
                "16-64-token budgets, temperature 0.8 top-k 40, one 2-token "
                "stop sequence each, streamed";
