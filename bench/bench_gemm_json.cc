@@ -16,11 +16,19 @@
  * pipeline) — all machine-checked by scripts/check_bench.py and by this
  * binary's own exit code.
  *
+ * The tender_prepared section times what preparing a weight saves: a
+ * per-call tenderMatmul (quantize the weight, then the pipeline) against
+ * the same product on a weight quantized once (TenderScheme::prepare), at
+ * the serving replica's weight shapes, for one decode row and for one
+ * whole row chunk. The prepared product must be bit-identical to the
+ * per-call one on every backend (prepared_bitexact, gated).
+ *
  * Usage: bench_gemm_json [--smoke] [m k n workers out.json]
  * Defaults: 512 4096 4096 8 BENCH_gemm.json (the ISSUE-1 workload);
  * --smoke shrinks to 64x256x256 with 2 workers for the CI smoke job.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +38,7 @@
 
 #include "bench_common.h"
 #include "core/tender_gemm.h"
+#include "core/tender_scheme.h"
 #include "quant/metrics.h"
 #include "tensor/kernels.h"
 #include "util/cpu_features.h"
@@ -73,6 +82,67 @@ int8BitExact(const tender::KernelContext &serial,
                     return false;
     }
     return true;
+}
+
+/** One tender_prepared row: median µs of a per-call and a prepared
+ *  product of an m x k activation with a k x n weight. */
+struct PreparedTiming
+{
+    int m, k, n;
+    double perCallUs, preparedUs;
+};
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+/** Time per-call against prepared products at the OPT-6.7B /16 serving
+ *  replica's weight shapes (q/k/v/o 256x256, fc1 256x1024, fc2 1024x256)
+ *  on `timed`, alternating the two paths `reps` times each; *bitexact
+ *  turns false unless every prepared product equals the per-call one on
+ *  every context in `check`. */
+std::vector<PreparedTiming>
+timePrepared(const tender::TenderConfig &cfg,
+             const tender::KernelContext &timed,
+             const std::vector<const tender::KernelContext *> &check,
+             int reps, bool *bitexact)
+{
+    using namespace tender;
+    Rng rng(7);
+    std::vector<PreparedTiming> rows;
+    const int shapes[][2] = {{256, 256}, {256, 1024}, {1024, 256}};
+    for (const auto &shape : shapes) {
+        const int k = shape[0], n = shape[1];
+        const Matrix w = randomGaussian(k, n, rng, 0.f, 0.05f);
+        for (int m : {1, cfg.rowChunk}) {
+            const Matrix x = randomGaussian(m, k, rng);
+            for (const KernelContext *kc : check) {
+                TenderScheme scheme(cfg);
+                scheme.setKernels(kc);
+                if (!(scheme.prepare(w)->matmul(x) ==
+                      tenderMatmul(x, w, cfg, nullptr, kc)))
+                    *bitexact = false;
+            }
+            TenderScheme scheme(cfg);
+            scheme.setKernels(&timed);
+            const auto prepared = scheme.prepare(w);
+            std::vector<double> per_call, pre;
+            for (int r = 0; r < reps; ++r) {
+                auto t0 = Clock::now();
+                const Matrix a = tenderMatmul(x, w, cfg, nullptr, &timed);
+                auto t1 = Clock::now();
+                const Matrix b = prepared->matmul(x);
+                auto t2 = Clock::now();
+                per_call.push_back(seconds(t0, t1) * 1e6);
+                pre.push_back(seconds(t1, t2) * 1e6);
+            }
+            rows.push_back({m, k, n, median(per_call), median(pre)});
+        }
+    }
+    return rows;
 }
 
 } // namespace
@@ -190,6 +260,26 @@ main(int argc, char **argv)
                 tender_packed_s, macs / tender_packed_s * 1e-9,
                 tender_serial_s / tender_packed_s, tender_packed_nmse);
 
+    // ---- Prepared (quantize-once) weights ---------------------------------
+    // Timed as the serving benchmark's w8a8_batch runs the replica: its
+    // scheme (8-bit, G = 8, 32-row chunks) on a 2-worker threaded pool.
+    TenderConfig serve_cfg;
+    serve_cfg.rowChunk = 32;
+    KernelContext serving(Backend::Threaded, 2);
+    const int prepared_reps = 21;
+    bool prepared_bitexact = true;
+    const std::vector<PreparedTiming> prepared_rows =
+        timePrepared(serve_cfg, serving,
+                     {&serial, &threaded, &packed, &serving}, prepared_reps,
+                     &prepared_bitexact);
+    for (const PreparedTiming &p : prepared_rows)
+        std::printf("tender prepared %dx%dx%d: per-call %.1f us, prepared "
+                    "%.1f us (%.2fx)\n",
+                    p.m, p.k, p.n, p.perCallUs, p.preparedUs,
+                    p.perCallUs / p.preparedUs);
+    std::printf("prepared vs per-call: %s\n",
+                prepared_bitexact ? "bit-exact" : "MISMATCH");
+
     FILE *f = std::fopen(out_path, "w");
     if (!f) {
         std::fprintf(stderr, "cannot open %s\n", out_path);
@@ -244,9 +334,27 @@ main(int argc, char **argv)
                  tender_serial_s / tender_threaded_s, tender_nmse);
     std::fprintf(f, "  \"tender_packed\": {\"packed_s\": %.6f, "
                  "\"packed_gmacs\": %.3f, \"speedup_vs_serial\": %.3f, "
-                 "\"nmse_packed_vs_serial\": %.6g}\n",
+                 "\"nmse_packed_vs_serial\": %.6g},\n",
                  tender_packed_s, macs / tender_packed_s * 1e-9,
                  tender_serial_s / tender_packed_s, tender_packed_nmse);
+    std::fprintf(f, "  \"tender_prepared\": {\"backend\": \"%s\", "
+                 "\"workers\": %d, \"row_chunk\": %d, \"bits\": %d, "
+                 "\"groups\": %d, \"reps\": %d, \"stat\": \"median\", "
+                 "\"shapes\": [\n",
+                 backendName(serving.backend()).c_str(), serving.workers(),
+                 serve_cfg.rowChunk, serve_cfg.bits, serve_cfg.numGroups,
+                 prepared_reps);
+    for (size_t i = 0; i < prepared_rows.size(); ++i) {
+        const PreparedTiming &p = prepared_rows[i];
+        std::fprintf(f, "    {\"m\": %d, \"k\": %d, \"n\": %d, "
+                     "\"per_call_us\": %.1f, \"prepared_us\": %.1f, "
+                     "\"speedup\": %.3f}%s\n",
+                     p.m, p.k, p.n, p.perCallUs, p.preparedUs,
+                     p.perCallUs / p.preparedUs,
+                     i + 1 < prepared_rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ], \"prepared_bitexact\": %s}\n",
+                 prepared_bitexact ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path);
@@ -255,6 +363,6 @@ main(int argc, char **argv)
     // kernels must be exact; any violation fails the bench job outright.
     const bool ok = gemm_max_abs_diff == 0.0 && tender_nmse == 0.0 &&
         simd_gemm_nmse >= 0.0 && simd_gemm_nmse <= simd_gemm_nmse_bound &&
-        int8_bitexact && tender_packed_nmse == 0.0;
+        int8_bitexact && tender_packed_nmse == 0.0 && prepared_bitexact;
     return ok ? 0 : 1;
 }

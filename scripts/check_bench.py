@@ -16,6 +16,9 @@ recorded correctness field regresses:
     tender_packed.nmse_packed_vs_serial == 0   the Tender pipeline under
         the packed arm only touches exact integer loops, so it is held to
         the threaded arm's bit-parity bar
+    tender_prepared.prepared_bitexact     a weight quantized once
+        (TenderScheme::prepare) gives products bit-identical to the
+        per-call pipeline on every backend
 
   BENCH_decode.json
     correctness.fp32_decode_bit_exact     paged fp32 KV decode == prefill
@@ -121,10 +124,15 @@ def check_gemm(path):
         fail(f"{path}: tender_packed.nmse_packed_vs_serial = {tp_nmse}, "
              "expected exactly 0 (the packed Tender pipeline only touches "
              "exact integer loops)")
+    prepared = doc["tender_prepared"]["prepared_bitexact"]
+    if prepared is not True:
+        fail(f"{path}: tender_prepared.prepared_bitexact is {prepared} "
+             "(products on a prepared weight must be bit-identical to the "
+             "per-call pipeline)")
     print(f"check_bench: {path}: gemm bit-parity OK; packed arm "
           f"({doc.get('packed_backend', '?')}, simd {doc.get('simd', '?')}) "
           f"simd_gemm_nmse {simd_nmse:.3g} <= {simd_bound:.3g}, int8 "
-          "bit-exact, tender packed bit-exact")
+          "bit-exact, tender packed bit-exact, prepared weights bit-exact")
 
 
 def check_decode(path):

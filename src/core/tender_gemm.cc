@@ -76,7 +76,7 @@ chunkAccumulateImplicit(const QuantizedChunk &qc, const QuantizedWeight &qw,
                 const int64_t a = qc.codes(r, c);
                 if (a == 0)
                     continue;
-                const int32_t *wrow = qw.codes.rowPtr(c);
+                const int16_t *wrow = qw.codes.rowPtr(c);
                 int64_t *arow = acc.rowPtr(r);
                 for (int j = 0; j < n; ++j)
                     arow[j] += a * int64_t(wrow[j]);
@@ -149,9 +149,11 @@ namespace {
 // lives in L3. The blocked variant processes an output-column slice at a
 // time with group partial sums in int32 (codes are at most 8 bits wide, so
 // a whole group's partial sum is bounded well inside int32 — checked per
-// chunk before selecting this path). Integer arithmetic is exact, so the
-// result is bit-identical to the golden kernel; peak/overflow tracking
-// scans the same accumulator values at the same group boundaries.
+// chunk before selecting this path). It reads the weight's int16 codes in
+// place and a transposed int16 copy of the chunk's activation codes.
+// Integer arithmetic is exact, so the result is bit-identical to the
+// golden kernel; peak/overflow tracking scans the same accumulator values
+// at the same group boundaries.
 // ---------------------------------------------------------------------------
 
 /** Output-column slice width: int32 partial row of 512 B. */
@@ -160,44 +162,18 @@ constexpr int kFastColBlock = 128;
  *  stays L1-resident while a group's channels stream through it. */
 constexpr int kFastRowBand = 32;
 
-/** Narrowed (int16) copy of widened codes; bits <= 8 guarantees the fit. */
-struct Packed16
-{
-    std::vector<int16_t> v;
-    int rows = 0;
-    int cols = 0;
-
-    const int16_t *rowPtr(int r) const
-    {
-        return v.data() + size_t(r) * size_t(cols);
-    }
-};
-
-Packed16
-packCodes(const IntMatrix &m)
-{
-    Packed16 p;
-    p.rows = m.rows();
-    p.cols = m.cols();
-    p.v.resize(size_t(m.rows()) * size_t(m.cols()));
-    for (size_t i = 0; i < m.data().size(); ++i)
-        p.v[i] = int16_t(m.data()[i]);
-    return p;
-}
-
-Packed16
+/** Narrowed (int16), transposed copy of a chunk's widened activation
+ *  codes (channels x rows); bits <= 8 guarantees the fit. */
+MatrixT<int16_t>
 packCodesTransposed(const IntMatrix &m)
 {
-    Packed16 p;
-    p.rows = m.cols();
-    p.cols = m.rows();
-    p.v.resize(size_t(m.rows()) * size_t(m.cols()));
+    MatrixT<int16_t> t(m.cols(), m.rows());
     for (int r = 0; r < m.rows(); ++r) {
         const int32_t *row = m.rowPtr(r);
         for (int c = 0; c < m.cols(); ++c)
-            p.v[size_t(c) * size_t(m.rows()) + size_t(r)] = int16_t(row[c]);
+            t.rowPtr(c)[r] = int16_t(row[c]);
     }
-    return p;
+    return t;
 }
 
 /** True when ONE group's int32 partial sum provably cannot overflow at
@@ -224,12 +200,12 @@ fastEligible(const ChunkMeta &meta, int bits)
  *  kernel's, is int64 so saturating workloads overflow-account rather
  *  than wrap. */
 void
-fastAccumulateCols(const Packed16 &xt, const Packed16 &w16,
+fastAccumulateCols(const MatrixT<int16_t> &xt, const MatrixT<int16_t> &w16,
                    const ChunkMeta &meta, const TenderConfig &config,
                    int j0, int j1, MatrixT<int64_t> &acc, bool track,
                    int64_t *peak_abs, bool *overflow)
 {
-    const int rows = xt.cols;
+    const int rows = xt.cols();
     const int jw = j1 - j0;
     const int64_t int32_max = int64_t(std::numeric_limits<int32_t>::max());
     std::vector<int32_t> part(size_t(kFastRowBand) * size_t(jw));
@@ -325,13 +301,13 @@ fastAccumulateCols(const Packed16 &xt, const Packed16 &w16,
 }
 
 MatrixT<int64_t>
-chunkAccumulateFast(const IntMatrix &codes, const Packed16 &w16,
+chunkAccumulateFast(const IntMatrix &codes, const MatrixT<int16_t> &w16,
                     const ChunkMeta &meta, const TenderConfig &config,
                     TenderGemmStats *stats, const KernelContext &kc)
 {
     const int rows = codes.rows();
-    const int n = w16.cols;
-    const Packed16 xt = packCodesTransposed(codes);
+    const int n = w16.cols();
+    const MatrixT<int16_t> xt = packCodesTransposed(codes);
     MatrixT<int64_t> acc(rows, n, 0);
     const int64_t blocks = (n + kFastColBlock - 1) / kFastColBlock;
     const bool track = stats != nullptr;
@@ -402,7 +378,7 @@ processChunkExplicit(const ChunkMeta &meta, const QuantizedChunk &qc,
                 const int64_t a = qc.codes(r, c);
                 if (a == 0)
                     continue;
-                const int32_t *wrow = qw.codes.rowPtr(c);
+                const int16_t *wrow = qw.codes.rowPtr(c);
                 int64_t *prow = partial.rowPtr(r);
                 for (int j = 0; j < n; ++j)
                     prow[j] += a * int64_t(wrow[j]);
@@ -427,11 +403,11 @@ processChunkExplicit(const ChunkMeta &meta, const QuantizedChunk &qc,
  *  sequence as processChunkExplicit, hence bit parity (asserted in
  *  tests/test_tender_gemm.cc). The caller adds the bias-correction row. */
 void
-fastExplicitCols(const Packed16 &xt, const Packed16 &w16,
+fastExplicitCols(const MatrixT<int16_t> &xt, const MatrixT<int16_t> &w16,
                  const ChunkMeta &meta, const std::vector<float> &col_scale,
                  int j0, int j1, Matrix &y, int r0)
 {
-    const int rows = xt.cols;
+    const int rows = xt.cols();
     const int jw = j1 - j0;
     std::vector<int32_t> part(size_t(kFastRowBand) * size_t(jw));
     for (int rb = 0; rb < rows; rb += kFastRowBand) {
@@ -467,23 +443,24 @@ fastExplicitCols(const Packed16 &xt, const Packed16 &w16,
     }
 }
 
+/** The chunk pipeline over a weight quantized beforehand: `qw` is
+ *  quantizeWeight(w, config.bits), and `w` is read only for each chunk's
+ *  bias-correction row. */
 Matrix
-runChunkPipeline(const Matrix &x, const Matrix &w,
+runChunkPipeline(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
                  const std::vector<ChunkMeta> *metas,
                  const TenderConfig &config, RequantMode mode,
                  TenderGemmStats *stats, const KernelContext &kc)
 {
     TENDER_CHECK(x.cols() == w.rows());
-    const QuantizedWeight qw = quantizeWeight(w, config.bits);
+    TENDER_CHECK(qw.codes.rows() == w.rows() && qw.codes.cols() == w.cols());
+    TENDER_CHECK(qw.bits == config.bits);
     // Both requant modes share the blocked int16/int32 group accumulate
     // under the pooled backends (bit-identical to their golden kernels —
     // the accumulate is pure integer arithmetic, so the packed arm's SIMD
     // lanes reorder an exact sum and change nothing).
     const bool fast_backend = kc.backend() != Backend::Serial &&
         config.bits <= 8;
-    Packed16 w16;
-    if (fast_backend)
-        w16 = packCodes(qw.codes);
 
     Matrix y(x.rows(), w.cols(), 0.f);
     const auto ranges = chunkRanges(x.rows(), config.rowChunk);
@@ -511,17 +488,18 @@ runChunkPipeline(const Matrix &x, const Matrix &w,
         const bool fast = fast_backend && fastEligible(meta, config.bits);
         if (mode == RequantMode::Implicit) {
             const MatrixT<int64_t> acc = fast
-                ? chunkAccumulateFast(qc.codes, w16, meta, config, ls, kc)
+                ? chunkAccumulateFast(qc.codes, qw.codes, meta, config, ls,
+                                      kc)
                 : chunkAccumulateImplicit(qc, qw, config, ls);
             const Matrix correction = biasCorrectionRow(meta, w);
             finishChunkInto(acc, qc, qw, correction, y, r0);
         } else if (fast) {
-            const Packed16 xt = packCodesTransposed(qc.codes);
+            const MatrixT<int16_t> xt = packCodesTransposed(qc.codes);
             const int n = w.cols();
             const int64_t blocks = (n + kFastColBlock - 1) / kFastColBlock;
             kc.parallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
                 for (int64_t b = b0; b < b1; ++b)
-                    fastExplicitCols(xt, w16, meta, qw.colScale,
+                    fastExplicitCols(xt, qw.codes, meta, qw.colScale,
                                      int(b) * kFastColBlock,
                                      std::min(int(b) * kFastColBlock +
                                               kFastColBlock, n),
@@ -579,8 +557,17 @@ Matrix
 tenderMatmul(const Matrix &x, const Matrix &w, const TenderConfig &config,
              TenderGemmStats *stats, const KernelContext *kernels)
 {
+    return tenderMatmul(x, quantizeWeight(w, config.bits), w, config, stats,
+                        kernels);
+}
+
+Matrix
+tenderMatmul(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
+             const TenderConfig &config, TenderGemmStats *stats,
+             const KernelContext *kernels)
+{
     const KernelContext &kc = kernels ? *kernels : defaultKernels();
-    return runChunkPipeline(x, w, nullptr, config, RequantMode::Implicit,
+    return runChunkPipeline(x, qw, w, nullptr, config, RequantMode::Implicit,
                             stats, kc);
 }
 
@@ -592,8 +579,8 @@ tenderMatmulCalibrated(const Matrix &x, const Matrix &w,
 {
     TENDER_REQUIRE(!metas.empty(), "calibrated path needs metadata");
     const KernelContext &kc = kernels ? *kernels : defaultKernels();
-    return runChunkPipeline(x, w, &metas, config, RequantMode::Implicit,
-                            stats, kc);
+    return runChunkPipeline(x, quantizeWeight(w, config.bits), w, &metas,
+                            config, RequantMode::Implicit, stats, kc);
 }
 
 Matrix
@@ -602,8 +589,8 @@ tenderMatmulExplicit(const Matrix &x, const Matrix &w,
                      const KernelContext *kernels)
 {
     const KernelContext &kc = kernels ? *kernels : defaultKernels();
-    return runChunkPipeline(x, w, nullptr, config, RequantMode::Explicit,
-                            nullptr, kc);
+    return runChunkPipeline(x, quantizeWeight(w, config.bits), w, nullptr,
+                            config, RequantMode::Explicit, nullptr, kc);
 }
 
 } // namespace tender

@@ -10,17 +10,22 @@
  * avoids. Both are exposed so tests can prove them equivalent and so the
  * Fig. 13 harness can model their performance difference.
  *
- * All three entry points share one chunk pipeline (decompose -> quantize ->
- * accumulate-with-requant -> finish-into-output-view) whose per-chunk tasks
- * are dispatched over the KernelContext's thread pool: Tender's row-chunk
- * decomposition makes chunks embarrassingly parallel by construction. The
- * threaded backend additionally runs a cache-blocked int16/int32 variant of
- * the group accumulate — shared by the implicit AND explicit modes (the
- * explicit golden kernel computes one integer partial per group, so the
- * blocked integer partials slot into the identical per-element FP
- * sequence); integer arithmetic is exact, so results are bit-identical to
- * the golden serial kernels and the determinism tests assert exact
- * equality.
+ * All entry points share one chunk pipeline (decompose -> quantize ->
+ * accumulate-with-requant -> finish-into-output-view) over a weight that
+ * is already quantized: the fp32-weight entry points quantize it first,
+ * and the QuantizedWeight overload of tenderMatmul skips that step for a
+ * weight quantized once up front (how TenderScheme::prepare serves every
+ * projection of a decode session), bit-identical to the per-call path.
+ * Per-chunk tasks are dispatched over the KernelContext's thread pool:
+ * Tender's row-chunk decomposition makes chunks embarrassingly parallel by
+ * construction. The threaded backend additionally runs a cache-blocked
+ * int16/int32 variant of the group accumulate — shared by the implicit AND
+ * explicit modes (the explicit golden kernel computes one integer partial
+ * per group, so the blocked integer partials slot into the identical
+ * per-element FP sequence); both it and the golden kernels read the
+ * weight's int16 codes in place. Integer arithmetic is exact, so results
+ * are bit-identical to the golden serial kernels and the determinism
+ * tests assert exact equality.
  */
 
 #ifndef TENDER_CORE_TENDER_GEMM_H
@@ -78,6 +83,16 @@ Matrix biasCorrectionRow(const ChunkMeta &meta, const Matrix &w);
  */
 Matrix tenderMatmul(const Matrix &x, const Matrix &w,
                     const TenderConfig &config,
+                    TenderGemmStats *stats = nullptr,
+                    const KernelContext *kernels = nullptr);
+
+/** tenderMatmul against a weight quantized beforehand: `qw` must be
+ *  quantizeWeight(w, config.bits). Runs the same pipeline without the
+ *  per-call weight quantization, so the result is bit-identical to
+ *  tenderMatmul(x, w, ...); `w` is read only for each chunk's
+ *  bias-correction row. */
+Matrix tenderMatmul(const Matrix &x, const QuantizedWeight &qw,
+                    const Matrix &w, const TenderConfig &config,
                     TenderGemmStats *stats = nullptr,
                     const KernelContext *kernels = nullptr);
 

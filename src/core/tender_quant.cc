@@ -53,9 +53,12 @@ dequantizeChunk(const QuantizedChunk &qc)
 QuantizedWeight
 quantizeWeight(const Matrix &w, int bits)
 {
+    TENDER_REQUIRE(bits >= 2 && bits <= 16,
+                   "weight codes are int16: bits must be in [2, 16], got "
+                   << bits);
     QuantizedWeight qw;
     qw.bits = bits;
-    qw.codes = IntMatrix(w.rows(), w.cols());
+    qw.codes = MatrixT<int16_t>(w.rows(), w.cols());
     qw.colScale.resize(size_t(w.cols()));
     // One row-major pass for all column maxima (max is order-independent,
     // so the scales match the per-column scan exactly); row-pointer walks
@@ -71,9 +74,10 @@ quantizeWeight(const Matrix &w, int bits)
         qw.colScale[size_t(c)] = scaleFor(col_max[size_t(c)], bits);
     for (int r = 0; r < w.rows(); ++r) {
         const float *row = w.rowPtr(r);
-        int32_t *codes = qw.codes.rowPtr(r);
+        int16_t *codes = qw.codes.rowPtr(r);
         for (int c = 0; c < w.cols(); ++c)
-            codes[c] = quantizeValue(row[c], qw.colScale[size_t(c)], bits);
+            codes[c] = int16_t(
+                quantizeValue(row[c], qw.colScale[size_t(c)], bits));
     }
     return qw;
 }

@@ -2,6 +2,11 @@
  * @file
  * Quantization of activations (per-chunk, decomposed) and weights
  * (per-column, linear symmetric) for the Tender pipeline.
+ *
+ * Only activations are decomposed at runtime. A weight is quantized once
+ * into a QuantizedWeight, and the GEMM pipeline (core/tender_gemm.h) reads
+ * its codes in place on every call: the serving runtime prepares each
+ * projection once per session through GemmScheme::prepare.
  */
 
 #ifndef TENDER_CORE_TENDER_QUANT_H
@@ -20,10 +25,12 @@ struct QuantizedChunk
     int bits = 8;
 };
 
-/** Per-column symmetric weight quantization (done once, offline). */
+/** Per-column symmetric weight quantization (done once, offline). Codes
+ *  are int16, wide enough for any width up to 16 bits, so the golden and
+ *  the blocked GEMM kernels both read them without a per-call copy. */
 struct QuantizedWeight
 {
-    IntMatrix codes;
+    MatrixT<int16_t> codes;
     std::vector<float> colScale; ///< one scale per output column
     int bits = 8;
 };
@@ -39,7 +46,7 @@ QuantizedChunk quantizeChunk(const Matrix &chunk, const ChunkMeta &meta,
 /** Dequantize back to FP32 (adds the channel bias back). */
 Matrix dequantizeChunk(const QuantizedChunk &qc);
 
-/** Quantize weights per output column. */
+/** Quantize weights per output column (2 <= bits <= 16). */
 QuantizedWeight quantizeWeight(const Matrix &w, int bits);
 
 /** Dequantize weights. */

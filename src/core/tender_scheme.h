@@ -52,9 +52,40 @@ class TenderScheme : public GemmScheme
         return tenderMatmul(x, w, config_, nullptr, &kernels());
     }
 
+    /** Quantize `w` once (per-column scales, int16 codes); each product
+     *  then runs matmul's pipeline on those codes without re-quantizing,
+     *  dispatching on kernels() at call time as matmul does. */
+    std::unique_ptr<PreparedWeight>
+    prepare(const Matrix &w) const override
+    {
+        return std::make_unique<Prepared>(*this, w);
+    }
+
     const TenderConfig &config() const { return config_; }
 
   private:
+    class Prepared : public PreparedWeight
+    {
+      public:
+        Prepared(const TenderScheme &scheme, const Matrix &w)
+            : scheme_(scheme), w_(w),
+              qw_(quantizeWeight(w, scheme.config_.bits))
+        {
+        }
+
+        Matrix
+        matmul(const Matrix &x) const override
+        {
+            return tenderMatmul(x, qw_, w_, scheme_.config_, nullptr,
+                                &scheme_.kernels());
+        }
+
+      private:
+        const TenderScheme &scheme_;
+        const Matrix &w_; ///< read for the per-chunk bias correction
+        QuantizedWeight qw_;
+    };
+
     TenderConfig config_;
 };
 

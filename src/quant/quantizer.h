@@ -5,8 +5,9 @@
  *   s = xmax / (2^(b-1) - 1);   xq = clamp(round(xf / s), -k, k)
  *
  * All higher-level schemes (granularity variants, SmoothQuant, Tender, ...)
- * are built from these primitives. Codes are stored widened in int32; the
- * memory models account for the true packed widths.
+ * are built from these primitives. Codes are stored widened in int32
+ * (Tender's weight codes in int16, core/tender_quant.h); the memory models
+ * account for the true packed widths.
  */
 
 #ifndef TENDER_QUANT_QUANTIZER_H

@@ -4,6 +4,35 @@
 
 namespace tender {
 
+namespace {
+
+/** GemmScheme::prepare's default: every product is scheme.matmul(x, w). */
+class ForwardedWeight : public PreparedWeight
+{
+  public:
+    ForwardedWeight(const GemmScheme &scheme, const Matrix &w)
+        : scheme_(scheme), w_(w)
+    {
+    }
+
+    Matrix matmul(const Matrix &x) const override
+    {
+        return scheme_.matmul(x, w_);
+    }
+
+  private:
+    const GemmScheme &scheme_;
+    const Matrix &w_;
+};
+
+} // namespace
+
+std::unique_ptr<PreparedWeight>
+GemmScheme::prepare(const Matrix &w) const
+{
+    return std::make_unique<ForwardedWeight>(*this, w);
+}
+
 const KernelContext &
 GemmScheme::kernels() const
 {

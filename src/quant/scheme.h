@@ -11,6 +11,13 @@
  *
  * Schemes that change the compute itself (Tender's runtime requantization)
  * override matmul() with their own integer pipeline.
+ *
+ * prepare() binds a weight for repeated products: the serving runtime
+ * prepares each projection once per session, so work a scheme can do once
+ * per weight (Tender's per-column weight quantization) leaves the
+ * per-step path. The accuracy harnesses keep calling matmul(x, w): they
+ * use each weight once per forward and pass activations as the right
+ * operand too.
  */
 
 #ifndef TENDER_QUANT_SCHEME_H
@@ -28,6 +35,19 @@ namespace tender {
 /** Which operand of a GEMM a tensor plays; some codecs treat them
  *  differently (e.g. activation-only outlier handling). */
 enum class Operand { Activation, Weight };
+
+/** A weight bound to the scheme that prepared it (GemmScheme::prepare):
+ *  matmul(x) equals that scheme's matmul(x, w) bit for bit. */
+class PreparedWeight
+{
+  public:
+    PreparedWeight() = default;
+    PreparedWeight(const PreparedWeight &) = delete;
+    PreparedWeight &operator=(const PreparedWeight &) = delete;
+    virtual ~PreparedWeight() = default;
+
+    virtual Matrix matmul(const Matrix &x) const = 0;
+};
 
 /** Abstract quantized-GEMM scheme. */
 class GemmScheme
@@ -47,6 +67,15 @@ class GemmScheme
         return kernels().gemm(fakeQuant(x, Operand::Activation),
                               fakeQuant(w, Operand::Weight));
     }
+
+    /**
+     * Bind weight `w` for repeated X * W products. The default forwards
+     * every product to matmul(x, w), so a scheme that overrides only
+     * matmul (a timing wrapper, say) serves exactly as before; schemes
+     * with per-weight work override this to do it here, once. `w` and
+     * this scheme must outlive the result.
+     */
+    virtual std::unique_ptr<PreparedWeight> prepare(const Matrix &w) const;
 
     /** Kernel context every matmul path dispatches through; defaults to
      *  the process-wide defaultKernels(). */

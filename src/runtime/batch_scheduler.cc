@@ -50,7 +50,8 @@ BatchScheduler::BatchScheduler(SyntheticModel &model,
       pool_(std::make_unique<BlockAllocator>(
           blockPoolConfigFor(model.config(), options.decode.cache,
                              options.kvPoolBlocks))),
-      vocab_(options.vocabSize, model.config().dModel, options.vocabSeed)
+      vocab_(options.vocabSize, model.config().dModel, options.vocabSeed),
+      projections_(prepareProjections(model, options.decode.scheme))
 {
     TENDER_REQUIRE(options.maxBatch > 0, "maxBatch must be positive");
     TENDER_REQUIRE(options.maxHeadOvertakes >= 0,
@@ -396,19 +397,21 @@ bool
 BatchScheduler::preemptVictim()
 {
     // Victim choice: Batch priority only (Interactive never preempts
-    // Interactive), past its first token (an unstarted prefill holds
-    // nothing worth parking — deferral already covers it), not mid-way
-    // through a resume replay (its cache does not yet hold the rows its
-    // `generated` implies, so the park bookkeeping would be wrong), and
-    // under its anti-thrash bound. Among candidates, the one holding the
-    // most KV blocks frees the most pool; ties go to the later admission
-    // (the earlier one is closer to finishing).
+    // Interactive), a token emitted since its latest admission, and under
+    // its anti-thrash bound. The emission rule covers three states: an
+    // unstarted prefill holds nothing worth parking (deferral already
+    // covers it); mid-way through a resume replay the cache does not yet
+    // hold the rows `generated` implies, so the park bookkeeping would be
+    // wrong; and once the last replay row is staged the request is still
+    // in its prefill cycle (ServeSession holds it in Prefill, which may
+    // not move to Preempted). Among candidates, the one holding the most
+    // KV blocks frees the most pool; ties go to the later admission (the
+    // earlier one is closer to finishing).
     size_t victim = active_.size();
     size_t victim_blocks = 0;
     for (size_t i = 0; i < active_.size(); ++i) {
         const Active &a = active_[i];
-        if (a.request.priority != Priority::Batch || a.generated.empty() ||
-            a.prefilling || !a.replay.empty() ||
+        if (a.request.priority != Priority::Batch || !a.emittedSinceAdmit ||
             a.preemptions >= options_.maxPreemptions)
             continue;
         const size_t blocks = a.cache.blocksInUse();
@@ -494,7 +497,7 @@ BatchScheduler::step()
     }
 
     DecodeStepConfig step;
-    step.scheme = options_.decode.scheme;
+    step.projections = options_.decode.scheme ? &projections_ : nullptr;
     step.fusedQuantKv = options_.decode.fusedQuantKv;
     step.mqAttentionPanels = options_.decode.mqAttentionPanels;
     step.phases = options_.decode.phases;
@@ -579,6 +582,7 @@ BatchScheduler::step()
                     << " decode hook returned out-of-vocab token "
                     << token);
                 a.generated.push_back(token);
+                a.emittedSinceAdmit = true;
                 if (v == 0)
                     ++a.steps;
                 ++stats_.decodedTokens;

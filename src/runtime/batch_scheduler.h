@@ -378,6 +378,10 @@ class BatchScheduler
         std::vector<int> pendingDraft;
         int64_t drafted = 0;        ///< draft rows fed so far (metrics)
         int64_t acceptedDrafts = 0; ///< drafts accepted so far (metrics)
+        /** A token was read out since the latest (re-)admission: until
+         *  then a resumed request is still in its prefill cycle, replay
+         *  rows included, so it is no preemption victim. */
+        bool emittedSinceAdmit = false;
     };
 
     const KernelContext &kernels() const;
@@ -387,8 +391,9 @@ class BatchScheduler
      *  moves from pending_ to active_. */
     bool tryAdmit(size_t index);
 
-    /** Freeze the best preemption victim (Batch-priority, past prefill,
-     *  under its maxPreemptions bound; most blocks held among those):
+    /** Freeze the best preemption victim (Batch-priority, a token emitted
+     *  since its latest admission, under its maxPreemptions bound; most
+     *  blocks held among those):
      *  park its computed rows in the prefix cache, release its blocks and
      *  undrawn reservation, and re-queue it at the FIFO head. Returns
      *  false when no active request is preemptible. */
@@ -411,6 +416,8 @@ class BatchScheduler
     std::unique_ptr<BlockAllocator> pool_;
     std::unique_ptr<PrefixCache> prefix_;
     Vocab vocab_;
+    /** decode.scheme's prepared weights, built once at construction. */
+    std::vector<PreparedProjections> projections_;
     std::deque<Pending> pending_;
     std::vector<Active> active_;
     std::vector<GenResult> finished_;

@@ -300,22 +300,27 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
 {
     checkSegments(x, segments);
     const int dh = config.headDim();
-    const GemmScheme *scheme = step.scheme;
+    const PreparedProjections fp32;
+    TENDER_CHECK(!step.projections ||
+                 size_t(layer) < step.projections->size());
+    const PreparedProjections &prepared =
+        step.projections ? (*step.projections)[size_t(layer)] : fp32;
     PhaseTimer timer(step.phases);
     // Fp32 projections batch across segments: they are row-local, so one
     // GEMM over the stacked rows computes every request's result exactly.
     // A quantizing scheme is NOT row-local — its row-chunk decomposition
-    // derives scales from whole chunks — so it runs per segment, keeping
-    // each request's quantization metadata a function of its own rows
-    // (the admission-order/batch-size independence invariant).
-    const auto project = [&](const Matrix &a, const Matrix &wm) {
-        if (!scheme)
+    // derives scales from whole chunks — so each segment is multiplied on
+    // its own against the prepared weight, keeping each request's
+    // quantization metadata a function of its own rows (the
+    // admission-order/batch-size independence invariant).
+    const auto project = [&](const Matrix &a, const Matrix &wm,
+                             const std::unique_ptr<PreparedWeight> &pw) {
+        if (!pw)
             return kc.gemm(a, wm);
         Matrix y(a.rows(), wm.cols());
         for (const DecodeSegment &seg : segments) {
             const Matrix ys =
-                scheme->matmul(a.rowSlice(seg.row0, seg.row0 + seg.rows),
-                               wm);
+                pw->matmul(a.rowSlice(seg.row0, seg.row0 + seg.rows));
             for (int r = 0; r < seg.rows; ++r)
                 std::copy(ys.rowPtr(r), ys.rowPtr(r) + ys.cols(),
                           y.rowPtr(seg.row0 + r));
@@ -323,10 +328,13 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
         return y;
     };
 
-    const Matrix ln1 = kc.layerNorm(x, w.ln1Gain, w.ln1Bias);
-    const Matrix xq = project(ln1, w.wq);
-    const Matrix xk = project(ln1, w.wk);
-    const Matrix xv = project(ln1, w.wv);
+    // Activations are released as soon as they are consumed, so a long
+    // prefill step holds only what its next phase reads.
+    Matrix ln1 = kc.layerNorm(x, w.ln1Gain, w.ln1Bias);
+    Matrix xq = project(ln1, w.wq, prepared.wq);
+    Matrix xk = project(ln1, w.wk, prepared.wk);
+    Matrix xv = project(ln1, w.wv, prepared.wv);
+    ln1 = Matrix();
     timer.accumulate(&DecodePhaseTimes::projectionsUs);
 
     // Speculative verification segments over a quantized cache must
@@ -472,6 +480,7 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
             }
         });
     }
+    hist.clear();
     timer.accumulate(&DecodePhaseTimes::attentionUs);
 
     // Row-sequential handling of speculative quantized segments: append
@@ -559,12 +568,22 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
         }
     }
 
-    const Matrix xo = kc.axpby(1.f, project(attn, w.wo), 1.f, x);
-    const Matrix ln2 = kc.layerNorm(xo, w.ln2Gain, w.ln2Bias);
-    const Matrix h1 = project(ln2, w.wfc1);
-    const Matrix hidden =
-        config.family == Family::Bert ? kc.gelu(h1) : kc.relu(h1);
-    const Matrix y = kc.axpby(1.f, project(hidden, w.wfc2), 1.f, xo);
+    xq = Matrix();
+    xk = Matrix();
+    xv = Matrix();
+
+    const Matrix xo =
+        kc.axpby(1.f, project(attn, w.wo, prepared.wo), 1.f, x);
+    attn = Matrix();
+    // ln2 dies with the fc1 product, and the activation runs in place on
+    // that product's buffer.
+    Matrix h1 = project(kc.layerNorm(xo, w.ln2Gain, w.ln2Bias), w.wfc1,
+                        prepared.wfc1);
+    const Matrix hidden = config.family == Family::Bert
+        ? kc.gelu(std::move(h1))
+        : kc.relu(std::move(h1));
+    const Matrix y =
+        kc.axpby(1.f, project(hidden, w.wfc2, prepared.wfc2), 1.f, xo);
     timer.accumulate(&DecodePhaseTimes::projectionsUs);
     return y;
 }
@@ -588,10 +607,31 @@ decodeStep(SyntheticModel &model, const Matrix &x,
     return h;
 }
 
+std::vector<PreparedProjections>
+prepareProjections(SyntheticModel &model, const GemmScheme *scheme)
+{
+    std::vector<PreparedProjections> table;
+    if (!scheme)
+        return table;
+    table.resize(size_t(model.config().nLayers));
+    for (int l = 0; l < model.config().nLayers; ++l) {
+        const BlockWeights &w = model.blockWeights(l);
+        PreparedProjections &p = table[size_t(l)];
+        p.wq = scheme->prepare(w.wq);
+        p.wk = scheme->prepare(w.wk);
+        p.wv = scheme->prepare(w.wv);
+        p.wo = scheme->prepare(w.wo);
+        p.wfc1 = scheme->prepare(w.wfc1);
+        p.wfc2 = scheme->prepare(w.wfc2);
+    }
+    return table;
+}
+
 DecodeEngine::DecodeEngine(SyntheticModel &model,
                            const DecodeOptions &options)
     : model_(model), options_(options),
-      cache_(model.config(), options.cache, options.pool)
+      cache_(model.config(), options.cache, options.pool),
+      projections_(prepareProjections(model, options.scheme))
 {
     TENDER_REQUIRE(model.config().decoder,
                    "the decode runtime needs a causal decoder model");
@@ -615,7 +655,7 @@ DecodeEngine::step(const Matrix &x_new)
     std::vector<DecodeSegment> segments{
         {&cache_, 0, x_new.rows(), cache_.length()}};
     DecodeStepConfig step;
-    step.scheme = options_.scheme;
+    step.projections = options_.scheme ? &projections_ : nullptr;
     step.fusedQuantKv = options_.fusedQuantKv;
     step.mqAttentionPanels = options_.mqAttentionPanels;
     step.phases = options_.phases;

@@ -6,15 +6,14 @@
  * of *segments* — disjoint row ranges of a stacked input matrix, each
  * belonging to one request's cache. Fp32 QKV/O/FFN projections run as
  * single GEMMs over the stacked rows (they are row-local, so batching
- * changes nothing numerically; a quantizing scheme runs per segment
- * instead, because its chunk scales are not row-local), K/V rows are
- * appended to each segment's cache, and
- * attention runs per (segment, head) with attentionHeadIncremental over
- * the materialized history — each read walks that segment's block table
- * in the shared BlockAllocator pool (runtime/kv_cache.h), gathering pages
- * in logical-row order so paging never perturbs the numerics —
- * parallelized across the KernelContext's thread pool with disjoint
- * output writes, so results are bit-identical for any worker count.
+ * changes nothing numerically), K/V rows are appended to each segment's
+ * cache, and attention runs per (segment, head) with
+ * attentionHeadIncremental over the materialized history — each read
+ * walks that segment's block table in the shared BlockAllocator pool
+ * (runtime/kv_cache.h), gathering pages in logical-row order so paging
+ * never perturbs the numerics — parallelized across the KernelContext's
+ * thread pool with disjoint output writes, so results are bit-identical
+ * for any worker count.
  * With DecodeOptions::fusedQuantKv, quantized-cache segments instead run
  * attentionHeadFusedQuant directly on the KV chunk codes (KVCodeView),
  * skipping the fp32 materialization entirely — the MSA-style dataflow the
@@ -25,9 +24,16 @@
  * prompt in a single step, step() extends it. With an Fp32 cache the
  * hidden states are bit-identical to modelForward over the concatenated
  * input; with a TenderQuantized cache they carry exactly the cache's
- * storage error. An optional GemmScheme routes the six weight GEMMs
- * through the quantized per-op path (the executor's "quantized stream")
- * so Tender itself can run the projections on single-step inputs.
+ * storage error.
+ *
+ * An optional GemmScheme runs the six weight GEMMs instead (the executor's
+ * "quantized stream"), so Tender itself serves the projections. The
+ * weights are prepared once, when a DecodeEngine or BatchScheduler is
+ * built (GemmScheme::prepare: TenderScheme quantizes each weight there),
+ * into a per-layer PreparedProjections table that every step multiplies
+ * against. A quantizing scheme's activation chunk scales are not
+ * row-local, so each segment is multiplied on its own; only the
+ * activations are quantized per step.
  *
  * Vocab closes the generation loop without a learned LM head: a
  * deterministic synthetic embedding table maps token ids to input rows
@@ -38,6 +44,7 @@
 #ifndef TENDER_RUNTIME_DECODE_ENGINE_H
 #define TENDER_RUNTIME_DECODE_ENGINE_H
 
+#include <memory>
 #include <vector>
 
 #include "model/transformer.h"
@@ -90,11 +97,13 @@ struct DecodeOptions
      *  blockPoolConfigFor(model, cache, ...) geometry and outlive the
      *  engine. */
     BlockAllocator *pool = nullptr;
-    /** When set, the weight GEMMs (q/k/v/o/fc1/fc2) run through
-     *  scheme->matmul — the quantized per-op path — instead of the fp32
-     *  kernel. The scheme dispatches on its own KernelContext
-     *  (GemmScheme::kernels()); pin both contexts when a run must be
-     *  single-backend end to end. Must outlive the engine. */
+    /** When set, the weight GEMMs (q/k/v/o/fc1/fc2) run through the
+     *  scheme — the quantized per-op path — instead of the fp32 kernel:
+     *  each weight is prepared once (scheme->prepare) when the engine or
+     *  scheduler is built, bit-identical to scheme->matmul per step. The
+     *  scheme dispatches on its own KernelContext (GemmScheme::kernels());
+     *  pin both contexts when a run must be single-backend end to end.
+     *  Must outlive the engine. */
     const GemmScheme *scheme = nullptr;
     /** Kernel context for everything else; nullptr = defaultKernels().
      *  Must outlive the engine. */
@@ -120,12 +129,26 @@ struct DecodeOptions
     DecodePhaseTimes *phases = nullptr;
 };
 
+/** One block's six weight projections, prepared by a GemmScheme. */
+struct PreparedProjections
+{
+    std::unique_ptr<PreparedWeight> wq, wk, wv, wo, wfc1, wfc2;
+};
+
+/** Prepare every block's projections under `scheme`, one entry per layer
+ *  (empty when scheme is null). The model and the scheme must outlive
+ *  the table. */
+std::vector<PreparedProjections> prepareProjections(SyntheticModel &model,
+                                                    const GemmScheme *scheme);
+
 /** The per-step slice of DecodeOptions consumed by decodeStep /
  *  decodeBlockForward (everything but the cache/pool, which the segments
  *  carry). */
 struct DecodeStepConfig
 {
-    const GemmScheme *scheme = nullptr;
+    /** Per-layer prepared weights (prepareProjections); null runs the
+     *  projections on the fp32 kernels. */
+    const std::vector<PreparedProjections> *projections = nullptr;
     bool fusedQuantKv = false;
     bool mqAttentionPanels = true;
     DecodePhaseTimes *phases = nullptr;
@@ -211,6 +234,7 @@ class DecodeEngine
     SyntheticModel &model_;
     DecodeOptions options_;
     KVCache cache_;
+    std::vector<PreparedProjections> projections_;
 };
 
 /**

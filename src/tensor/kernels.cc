@@ -251,29 +251,31 @@ KernelContext::addRowVector(const Matrix &m, const Matrix &row) const
 }
 
 Matrix
-KernelContext::relu(const Matrix &m) const
+KernelContext::relu(Matrix m) const
 {
-    if (backend_ == Backend::Serial)
-        return tender::relu(m);
-    Matrix out = m;
+    if (backend_ == Backend::Serial) {
+        functional_detail::reluRange(m, 0, m.size());
+        return m;
+    }
     pool_->parallelFor(0, int64_t(m.size()), kElemGrain,
                        [&](int64_t i0, int64_t i1) {
-        functional_detail::reluRange(out, size_t(i0), size_t(i1));
+        functional_detail::reluRange(m, size_t(i0), size_t(i1));
     });
-    return out;
+    return m;
 }
 
 Matrix
-KernelContext::gelu(const Matrix &m) const
+KernelContext::gelu(Matrix m) const
 {
-    if (backend_ == Backend::Serial)
-        return tender::gelu(m);
-    Matrix out = m;
+    if (backend_ == Backend::Serial) {
+        functional_detail::geluRange(m, 0, m.size());
+        return m;
+    }
     pool_->parallelFor(0, int64_t(m.size()), kElemGrain,
                        [&](int64_t i0, int64_t i1) {
-        functional_detail::geluRange(out, size_t(i0), size_t(i1));
+        functional_detail::geluRange(m, size_t(i0), size_t(i1));
     });
-    return out;
+    return m;
 }
 
 Matrix

@@ -100,8 +100,10 @@ class KernelContext
     Matrix axpby(float alpha, const Matrix &a, float beta,
                  const Matrix &b) const;
     Matrix addRowVector(const Matrix &m, const Matrix &row) const;
-    Matrix relu(const Matrix &m) const;
-    Matrix gelu(const Matrix &m) const;
+    /** Activations take their input by value and run in place on it, so
+     *  an rvalue argument (a projection's output) is never copied. */
+    Matrix relu(Matrix m) const;
+    Matrix gelu(Matrix m) const;
     Matrix scale(const Matrix &m, float s) const;
     Matrix softmaxRows(const Matrix &m) const;
     Matrix layerNorm(const Matrix &m, const Matrix &gain, const Matrix &bias,

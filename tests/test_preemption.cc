@@ -260,6 +260,67 @@ TEST(Preemption, AntiThrashBoundCapsFreezesPerRequest)
     EXPECT_TRUE(session.scheduler().pool().refcountsConsistent());
 }
 
+TEST(Preemption, NoRefreezeBeforeFirstTokenAfterResume)
+{
+    // Regression: once a resumed request's last replay row is staged it
+    // has emitted nothing since re-admission, so ServeSession still holds
+    // it in Prefill, and Prefill -> Preempted is illegal. An Interactive
+    // arrival at exactly that step must wait for the victim's next token;
+    // the second freeze then follows, and the tokens stay bit-exact.
+    for (bool quantized : {false, true}) {
+        SyntheticModel model(smallDecoder(), 73);
+        KernelContext kc(Backend::Serial);
+        const ServeSessionOptions options =
+            preemptOptions(&kc, quantized, false);
+
+        ServeRequest victim;
+        victim.promptTokens = {5, 6, 7, 8};
+        victim.maxNewTokens = 14;
+        victim.priority = Priority::Batch;
+        ServeRequest chat;
+        chat.promptTokens = {1, 2, 3};
+        chat.maxNewTokens = 2;
+        chat.priority = Priority::Interactive;
+        const std::vector<int> victim_ref = runSolo(model, options, victim);
+
+        ServeSession session(model, options);
+        const int vid = session.submit(victim);
+        // Prefill + six decode steps: 7 tokens, 10 cache rows, of which
+        // the freeze parks two complete blocks (8 rows). Resume then
+        // prefills row 8 and replays rows 9 and 10 one step each.
+        for (int i = 0; i < 7; ++i)
+            ASSERT_TRUE(session.step());
+        const int first = session.submit(chat);
+        ASSERT_TRUE(session.step());
+        ASSERT_EQ(RequestState::Preempted, session.state(vid));
+        int guard = 0;
+        while (session.state(vid) == RequestState::Preempted &&
+               guard++ < 16)
+            ASSERT_TRUE(session.step());
+        ASSERT_EQ(RequestState::Finished, session.state(first));
+        // Re-admitted: the step that resumed it fed row 8 and staged the
+        // first replay row; one more step stages the last one.
+        ASSERT_EQ(RequestState::Prefill, session.state(vid));
+        ASSERT_TRUE(session.step());
+        ASSERT_EQ(RequestState::Prefill, session.state(vid));
+
+        const int second = session.submit(chat);
+        ASSERT_TRUE(session.step());
+        EXPECT_EQ(RequestState::Decoding, session.state(vid));
+        EXPECT_EQ(RequestState::Queued, session.state(second));
+        ASSERT_TRUE(session.step());
+        EXPECT_EQ(RequestState::Preempted, session.state(vid));
+
+        session.drain();
+        EXPECT_EQ(victim_ref, session.result(vid)->tokens)
+            << "quantized=" << quantized;
+        EXPECT_EQ(2, session.result(vid)->metrics.preemptions);
+        EXPECT_EQ(RequestState::Finished, session.state(second));
+        EXPECT_EQ(0u, session.poolStats().parkedBlocks);
+        EXPECT_TRUE(session.scheduler().pool().refcountsConsistent());
+    }
+}
+
 TEST(Preemption, CancelWhilePreemptedSettlesAccountingAndKeepsTokens)
 {
     SyntheticModel model(smallDecoder(), 73);

@@ -2,9 +2,10 @@
  * @file
  * Tests for the decode runtime (src/runtime/): KV cache modes, incremental
  * attention, the decode engine's prefill/step equivalence with full
- * prefill, quantized-cache error behaviour, and the continuous-batching
+ * prefill, quantized-cache error behaviour, the continuous-batching
  * scheduler's independence from admission order, batch size, and worker
- * count.
+ * count, and the once-per-construction weight preparation of a
+ * GemmScheme.
  */
 
 #include <gtest/gtest.h>
@@ -59,6 +60,67 @@ teacherForcedDecode(SyntheticModel &model, const Matrix &input,
         r += t;
     }
     return out;
+}
+
+/** Forwards products to an inner scheme and overrides only matmul, like a
+ *  timing wrapper, so the runtime serves it through GemmScheme::prepare's
+ *  per-call default. Counts the products it forwards. */
+class ForwardingScheme : public GemmScheme
+{
+  public:
+    explicit ForwardingScheme(const GemmScheme &inner) : inner_(inner) {}
+
+    std::string name() const override { return inner_.name(); }
+    Matrix
+    fakeQuant(const Matrix &m, Operand op) const override
+    {
+        return inner_.fakeQuant(m, op);
+    }
+    Matrix
+    matmul(const Matrix &x, const Matrix &w) const override
+    {
+        ++matmuls;
+        return inner_.matmul(x, w);
+    }
+
+    mutable int64_t matmuls = 0;
+
+  protected:
+    const GemmScheme &inner() const { return inner_; }
+
+  private:
+    const GemmScheme &inner_;
+};
+
+/** A ForwardingScheme that also forwards prepare, counting the calls. */
+class CountingScheme : public ForwardingScheme
+{
+  public:
+    using ForwardingScheme::ForwardingScheme;
+
+    std::unique_ptr<PreparedWeight>
+    prepare(const Matrix &w) const override
+    {
+        ++prepares;
+        return inner().prepare(w);
+    }
+
+    mutable int64_t prepares = 0;
+};
+
+std::vector<GenRequest>
+mixedRequests(int count)
+{
+    std::vector<GenRequest> requests;
+    for (int i = 0; i < count; ++i) {
+        GenRequest r;
+        r.id = i;
+        for (int t = 0; t < 2 + (5 * i) % 7; ++t)
+            r.promptTokens.push_back((3 * i + 7 * t) % 64);
+        r.maxNewTokens = 2 + i % 4;
+        requests.push_back(r);
+    }
+    return requests;
 }
 
 TEST(IncrementalAttention, MatchesCausalAttentionHead)
@@ -340,6 +402,96 @@ TEST(DecodeEngine, TenderSchemeProjectionsStayAccurate)
     options.cache.tender.rowChunk = 8;
     const Matrix q = teacherForcedDecode(model, input, 4, 1, options);
     EXPECT_LT(nmse(ref, q), 5e-2); // Tender decode tracks the fp32 runtime
+}
+
+TEST(DecodeRuntime, ForwardingSchemeServesTheSameTokensAsTender)
+{
+    // A scheme that overrides only matmul takes prepare()'s per-call
+    // default; the runtime must serve it exactly as the prepared Tender
+    // weights, through a full batch and through the single-request engine.
+    SyntheticModel model(smallDecoder(), 37);
+    KernelContext kc(Backend::Threaded, 2);
+    TenderConfig tcfg;
+    tcfg.rowChunk = 4;
+    TenderScheme tender(tcfg);
+    tender.setKernels(&kc);
+    ForwardingScheme forwarding(tender);
+    const std::vector<GenRequest> requests = mixedRequests(10);
+
+    auto serve = [&](const GemmScheme &scheme) {
+        SchedulerOptions options;
+        options.maxBatch = 8;
+        options.vocabSize = 64;
+        options.decode.kernels = &kc;
+        options.decode.scheme = &scheme;
+        options.decode.cache.mode = KVCacheMode::TenderQuantized;
+        options.decode.cache.tender.rowChunk = 8;
+        BatchScheduler scheduler(model, options);
+        for (const GenRequest &r : requests)
+            scheduler.submit(r);
+        return scheduler.drain();
+    };
+    const auto prepared = serve(tender);
+    const auto forwarded = serve(forwarding);
+    EXPECT_GT(forwarding.matmuls, 0);
+    ASSERT_EQ(requests.size(), prepared.size());
+    ASSERT_EQ(prepared.size(), forwarded.size());
+    for (size_t i = 0; i < prepared.size(); ++i) {
+        EXPECT_EQ(prepared[i].id, forwarded[i].id);
+        EXPECT_EQ(prepared[i].tokens, forwarded[i].tokens) << "id " << i;
+    }
+
+    const Matrix input = model.sampleInput(20, 6);
+    DecodeOptions options;
+    options.kernels = &kc;
+    options.cache.mode = KVCacheMode::TenderQuantized;
+    options.cache.tender.rowChunk = 8;
+    options.scheme = &tender;
+    const Matrix a = teacherForcedDecode(model, input, 6, 1, options);
+    options.scheme = &forwarding;
+    const int64_t before = forwarding.matmuls;
+    const Matrix b = teacherForcedDecode(model, input, 6, 1, options);
+    EXPECT_GT(forwarding.matmuls, before);
+    EXPECT_TRUE(a == b);
+}
+
+TEST(DecodeRuntime, WeightsArePreparedOncePerConstruction)
+{
+    SyntheticModel model(smallDecoder(), 41);
+    KernelContext kc(Backend::Serial);
+    TenderConfig tcfg;
+    tcfg.rowChunk = 4;
+    TenderScheme tender(tcfg);
+    tender.setKernels(&kc);
+    CountingScheme counting(tender);
+    const int64_t per_build = 6 * model.config().nLayers;
+
+    SchedulerOptions options;
+    options.maxBatch = 4;
+    options.vocabSize = 64;
+    options.decode.kernels = &kc;
+    options.decode.scheme = &counting;
+    {
+        BatchScheduler scheduler(model, options);
+        EXPECT_EQ(per_build, counting.prepares);
+        for (const GenRequest &r : mixedRequests(6))
+            scheduler.submit(r);
+        EXPECT_EQ(6u, scheduler.drain().size());
+        EXPECT_EQ(per_build, counting.prepares); // never inside step()
+    }
+
+    DecodeOptions dopt;
+    dopt.kernels = &kc;
+    dopt.scheme = &counting;
+    DecodeEngine engine(model, dopt);
+    EXPECT_EQ(2 * per_build, counting.prepares);
+    const Matrix input = model.sampleInput(6, 2);
+    engine.prefill(input.rowSlice(0, 4));
+    engine.step(input.rowSlice(4, 5));
+    engine.step(input.rowSlice(5, 6));
+    EXPECT_EQ(2 * per_build, counting.prepares);
+    // Every product ran on the prepared weights, none per call.
+    EXPECT_EQ(0, counting.matmuls);
 }
 
 TEST(Workload, BatchedDecodeAgreesWithDecodeShapes)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the Tender GEMM pipelines: implicit/explicit equivalence
  * (Eq. 1 == Eq. 2), accuracy ordering against uniform granularities, bias
- * correction, accumulator-overflow accounting, and the calibrated path.
+ * correction, accumulator-overflow accounting, the calibrated path, and
+ * the prepared (quantize-once) weight path.
  */
 
 #include <gtest/gtest.h>
@@ -360,6 +361,36 @@ TEST(TenderScheme, FakeQuantMatchesPipelineError)
         nmse(ref, gemm(scheme.fakeQuant(x, Operand::Activation),
                        scheme.fakeQuant(w, Operand::Weight)));
     EXPECT_NEAR(e_pipeline, e_fake, std::max(1e-9, e_fake * 0.05));
+}
+
+TEST(TenderScheme, PreparedWeightMatchesPerCallBitExact)
+{
+    // prepare() quantizes the weight once; every product must still equal
+    // the per-call pipeline exactly, on every backend: a lone decode row,
+    // one whole chunk, and a chunk plus a ragged tail, against N = 300
+    // (two 128-column blocks plus a partial one).
+    Rng rng(41);
+    const Matrix w = randomGaussian(64, 300, rng, 0.f, 0.05f);
+    for (Backend backend :
+         {Backend::Serial, Backend::Threaded, Backend::Packed}) {
+        KernelContext kc(backend, 2);
+        for (int bits : {4, 8}) {
+            TenderConfig cfg;
+            cfg.bits = bits;
+            cfg.rowChunk = 32;
+            TenderScheme scheme(cfg);
+            scheme.setKernels(&kc);
+            const std::unique_ptr<PreparedWeight> prepared =
+                scheme.prepare(w);
+            for (int rows : {1, cfg.rowChunk, cfg.rowChunk + 3}) {
+                const Matrix x = outlierActivation(rows, 64, rng);
+                EXPECT_TRUE(prepared->matmul(x) ==
+                            tenderMatmul(x, w, cfg, nullptr, &kc))
+                    << backendName(backend) << " bits=" << bits
+                    << " rows=" << rows;
+            }
+        }
+    }
 }
 
 TEST(TenderScheme, NameAndConfig)
