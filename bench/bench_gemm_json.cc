@@ -19,9 +19,11 @@
  * The tender_prepared section times what preparing a weight saves: a
  * per-call tenderMatmul (quantize the weight, then the pipeline) against
  * the same product on a weight quantized once (TenderScheme::prepare), at
- * the serving replica's weight shapes, for one decode row and for one
- * whole row chunk. The prepared product must be bit-identical to the
- * per-call one on every backend (prepared_bitexact, gated).
+ * the serving replica's weight shapes, which take the folded int16
+ * dot-product GEMM, and at K = 2048, outside the fold bound, which keeps
+ * the group walk, for one decode row and for one whole row chunk. The
+ * prepared product must be bit-identical to the per-call one on every
+ * backend (prepared_bitexact, gated).
  *
  * Usage: bench_gemm_json [--smoke] [m k n workers out.json]
  * Defaults: 512 4096 4096 8 BENCH_gemm.json (the ISSUE-1 workload);
@@ -89,6 +91,7 @@ int8BitExact(const tender::KernelContext &serial,
 struct PreparedTiming
 {
     int m, k, n;
+    bool folded; ///< inside the fold bound (folded int16 dot-product GEMM)
     double perCallUs, preparedUs;
 };
 
@@ -100,10 +103,11 @@ median(std::vector<double> v)
 }
 
 /** Time per-call against prepared products at the OPT-6.7B /16 serving
- *  replica's weight shapes (q/k/v/o 256x256, fc1 256x1024, fc2 1024x256)
- *  on `timed`, alternating the two paths `reps` times each; *bitexact
- *  turns false unless every prepared product equals the per-call one on
- *  every context in `check`. */
+ *  replica's weight shapes (q/k/v/o 256x256, fc1 256x1024, fc2 1024x256),
+ *  all inside the fold bound, plus one K = 2048 shape outside it (the
+ *  group-walk kernels), on `timed`, alternating the two paths `reps`
+ *  times each; *bitexact turns false unless every prepared product equals
+ *  the per-call one on every context in `check`. */
 std::vector<PreparedTiming>
 timePrepared(const tender::TenderConfig &cfg,
              const tender::KernelContext &timed,
@@ -113,7 +117,8 @@ timePrepared(const tender::TenderConfig &cfg,
     using namespace tender;
     Rng rng(7);
     std::vector<PreparedTiming> rows;
-    const int shapes[][2] = {{256, 256}, {256, 1024}, {1024, 256}};
+    const int shapes[][2] = {{256, 256}, {256, 1024}, {1024, 256},
+                             {2048, 256}};
     for (const auto &shape : shapes) {
         const int k = shape[0], n = shape[1];
         const Matrix w = randomGaussian(k, n, rng, 0.f, 0.05f);
@@ -139,7 +144,8 @@ timePrepared(const tender::TenderConfig &cfg,
                 per_call.push_back(seconds(t0, t1) * 1e6);
                 pre.push_back(seconds(t1, t2) * 1e6);
             }
-            rows.push_back({m, k, n, median(per_call), median(pre)});
+            rows.push_back({m, k, n, foldedProductFits(k, cfg),
+                            median(per_call), median(pre)});
         }
     }
     return rows;
@@ -273,9 +279,10 @@ main(int argc, char **argv)
                      {&serial, &threaded, &packed, &serving}, prepared_reps,
                      &prepared_bitexact);
     for (const PreparedTiming &p : prepared_rows)
-        std::printf("tender prepared %dx%dx%d: per-call %.1f us, prepared "
-                    "%.1f us (%.2fx)\n",
-                    p.m, p.k, p.n, p.perCallUs, p.preparedUs,
+        std::printf("tender prepared %dx%dx%d%s: per-call %.1f us, "
+                    "prepared %.1f us (%.2fx)\n",
+                    p.m, p.k, p.n, p.folded ? " (folded)" : "",
+                    p.perCallUs, p.preparedUs,
                     p.perCallUs / p.preparedUs);
     std::printf("prepared vs per-call: %s\n",
                 prepared_bitexact ? "bit-exact" : "MISMATCH");
@@ -347,9 +354,11 @@ main(int argc, char **argv)
     for (size_t i = 0; i < prepared_rows.size(); ++i) {
         const PreparedTiming &p = prepared_rows[i];
         std::fprintf(f, "    {\"m\": %d, \"k\": %d, \"n\": %d, "
+                     "\"folded\": %s, "
                      "\"per_call_us\": %.1f, \"prepared_us\": %.1f, "
                      "\"speedup\": %.3f}%s\n",
-                     p.m, p.k, p.n, p.perCallUs, p.preparedUs,
+                     p.m, p.k, p.n, p.folded ? "true" : "false",
+                     p.perCallUs, p.preparedUs,
                      p.perCallUs / p.preparedUs,
                      i + 1 < prepared_rows.size() ? "," : "");
     }

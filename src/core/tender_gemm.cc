@@ -37,6 +37,25 @@ mergeStats(TenderGemmStats &into, const TenderGemmStats &from)
     into.overflow32 = into.overflow32 || from.overflow32;
 }
 
+/** finishChunkInto's arithmetic for an accumulator of either width: an
+ *  int32 and an int64 holding the same value convert to the same double,
+ *  so the folded product finishes bit-identically to the golden one. */
+template <class Acc>
+void
+finishRowsInto(const MatrixT<Acc> &acc, float s_last,
+               const std::vector<float> &col_scale,
+               const Matrix &bias_correction, Matrix &y, int r0)
+{
+    const float *corr = bias_correction.rowPtr(0);
+    for (int r = 0; r < acc.rows(); ++r) {
+        const Acc *arow = acc.rowPtr(r);
+        float *yrow = y.rowPtr(r0 + r);
+        for (int j = 0; j < acc.cols(); ++j)
+            yrow[j] = float(double(arow[j]) * double(s_last) *
+                            double(col_scale[size_t(j)])) + corr[j];
+    }
+}
+
 } // namespace
 
 MatrixT<int64_t>
@@ -119,15 +138,8 @@ finishChunkInto(const MatrixT<int64_t> &acc, const QuantizedChunk &qc,
                 Matrix &y, int r0)
 {
     const ChunkMeta &meta = qc.meta;
-    const float s_last = meta.scale[size_t(meta.groups() - 1)];
-    const float *corr = bias_correction.rowPtr(0);
-    for (int r = 0; r < acc.rows(); ++r) {
-        const int64_t *arow = acc.rowPtr(r);
-        float *yrow = y.rowPtr(r0 + r);
-        for (int j = 0; j < acc.cols(); ++j)
-            yrow[j] = float(double(arow[j]) * double(s_last) *
-                            double(qw.colScale[size_t(j)])) + corr[j];
-    }
+    finishRowsInto(acc, meta.scale[size_t(meta.groups() - 1)], qw.colScale,
+                   bias_correction, y, r0);
 }
 
 Matrix
@@ -343,8 +355,128 @@ chunkAccumulateFast(const IntMatrix &codes, const MatrixT<int16_t> &w16,
 }
 
 // ---------------------------------------------------------------------------
+// Folded product (prepared weights inside the fold bound).
+//
+// Adjacent group scales are exactly alpha apart, so the golden kernel's
+// shift-between-groups distributes over the sum: A_{G-1} =
+// sum_c (q_c * alpha^(G-1-g(c))) * w_c. Multiplying each activation code
+// by its group's power of alpha up front turns the group walk into one
+// plain int16 dot-product GEMM with int32 accumulation. foldedProductFits
+// bounds every folded code by INT16_MAX and every partial sum, in any
+// order, by INT32_MAX, so the result equals the golden accumulator exactly
+// and none of its group-boundary overflow checks could have fired.
+// ---------------------------------------------------------------------------
+
+/** Register tile of the folded kernel: kDotRows chunk rows by kDotCols
+ *  output columns. */
+constexpr int kDotRows = 4;
+constexpr int kDotCols = 4;
+
+/** One MR x NR tile of C = A * B^T over the whole reduction: `a` and `b`
+ *  point at MR and NR int16 rows contiguous over `k`. Deliberately no
+ *  TENDER_PRAGMA_SIMD: GCC 12 with -march=native vectorizes the reduction
+ *  over k into int16 dot-product instructions (vpdpwssd under
+ *  AVX512-VNNI) on its own, while the pragma on the inner column loop, as
+ *  the other kernels here place it, leaves the reduction scalar. A 4 x 4
+ *  tile keeps 16 accumulators and 8 operand vectors in registers. */
+template <int MR, int NR>
+inline void
+dotTile(const int16_t *a, const int16_t *b, int k, int32_t *c, int ldc)
+{
+    int32_t acc[MR][NR] = {};
+    for (int p = 0; p < k; ++p)
+        for (int i = 0; i < MR; ++i)
+            for (int j = 0; j < NR; ++j)
+                acc[i][j] += int32_t(a[i * k + p]) * int32_t(b[j * k + p]);
+    for (int i = 0; i < MR; ++i)
+        for (int j = 0; j < NR; ++j)
+            c[i * ldc + j] = acc[i][j];
+}
+
+/** Rows [r, r + MR) of the folded product over output columns [j0, j1). */
+template <int MR>
+void
+dotRowBand(const MatrixT<int16_t> &a, const MatrixT<int16_t> &b, int r,
+           int j0, int j1, MatrixT<int32_t> &acc)
+{
+    const int k = a.cols();
+    int j = j0;
+    for (; j + kDotCols <= j1; j += kDotCols)
+        dotTile<MR, kDotCols>(a.rowPtr(r), b.rowPtr(j), k,
+                              acc.rowPtr(r) + j, acc.cols());
+    for (; j < j1; ++j)
+        dotTile<MR, 1>(a.rowPtr(r), b.rowPtr(j), k, acc.rowPtr(r) + j,
+                       acc.cols());
+}
+
+/** acc(r, j) = sum_k a(r, k) * b(j, k) for output columns [j0, j1): `a`
+ *  holds a chunk's folded codes (rows x K), `b` the weight's columns
+ *  (N x K). */
+void
+foldedDotCols(const MatrixT<int16_t> &a, const MatrixT<int16_t> &b, int j0,
+              int j1, MatrixT<int32_t> &acc)
+{
+    int r = 0;
+    for (; r + kDotRows <= a.rows(); r += kDotRows)
+        dotRowBand<kDotRows>(a, b, r, j0, j1, acc);
+    for (; r < a.rows(); ++r)
+        dotRowBand<1>(a, b, r, j0, j1, acc);
+}
+
+/** Fold the alpha-rescale into a quantized chunk: each code times
+ *  alpha^(G-1-g(c)), narrowed to int16 (exact under foldedProductFits).
+ *  Returns false when every code is zero. */
+bool
+foldChunkCodes(const QuantizedChunk &qc, int alpha, MatrixT<int16_t> &out)
+{
+    const ChunkMeta &meta = qc.meta;
+    const int groups = meta.groups();
+    std::vector<int32_t> group_mult(size_t(groups), 1);
+    for (int g = groups - 2; g >= 0; --g)
+        group_mult[size_t(g)] = group_mult[size_t(g) + 1] * alpha;
+    const int d = qc.codes.cols();
+    std::vector<int32_t> mult(static_cast<size_t>(d));
+    for (int c = 0; c < d; ++c)
+        mult[size_t(c)] = group_mult[size_t(meta.group[size_t(c)])];
+    out = MatrixT<int16_t>(qc.codes.rows(), d);
+    int32_t any = 0;
+    for (int r = 0; r < qc.codes.rows(); ++r) {
+        const int32_t *src = qc.codes.rowPtr(r);
+        int16_t *dst = out.rowPtr(r);
+        for (int c = 0; c < d; ++c) {
+            const int32_t v = src[c] * mult[size_t(c)];
+            dst[c] = int16_t(v);
+            any |= v;
+        }
+    }
+    return any != 0;
+}
+
+// ---------------------------------------------------------------------------
 // Shared chunk pipeline.
 // ---------------------------------------------------------------------------
+
+/** Run body(ci) for every chunk index of `ranges`. Chunks are the primary
+ *  parallel axis; a body with its own inner (column-sliced) parallel axis
+ *  runs chunk by chunk when chunks alone cannot fill the pool, so the
+ *  inner fan-out gets the workers (nested calls from chunk tasks run
+ *  inline). */
+template <class Body>
+void
+forEachChunk(const std::vector<std::pair<int, int>> &ranges,
+             bool inner_axis, const KernelContext &kc, const Body &body)
+{
+    if (!inner_axis || int64_t(ranges.size()) >= int64_t(kc.workers())) {
+        kc.parallelFor(0, int64_t(ranges.size()), 1,
+                       [&](int64_t c0, int64_t c1) {
+            for (int64_t ci = c0; ci < c1; ++ci)
+                body(size_t(ci));
+        });
+    } else {
+        for (size_t ci = 0; ci < ranges.size(); ++ci)
+            body(ci);
+    }
+}
 
 enum class RequantMode { Implicit, Explicit };
 
@@ -513,21 +645,10 @@ runChunkPipeline(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
         ++local[ci].chunks;
     };
 
-    // Chunks are the primary parallel axis. The fast bodies of BOTH
-    // requant modes have an inner (column-sliced) parallel axis, so fall
-    // back to serial-over-chunks only when that inner axis exists AND
-    // chunks alone cannot fill the pool; the golden bodies always
-    // parallelize over chunks, however few.
-    if (!fast_backend || int64_t(ranges.size()) >= int64_t(kc.workers())) {
-        kc.parallelFor(0, int64_t(ranges.size()), 1,
-                       [&](int64_t c0, int64_t c1) {
-            for (int64_t ci = c0; ci < c1; ++ci)
-                processOne(size_t(ci));
-        });
-    } else {
-        for (size_t ci = 0; ci < ranges.size(); ++ci)
-            processOne(ci);
-    }
+    // The fast bodies of BOTH requant modes have an inner (column-sliced)
+    // parallel axis; the golden bodies always parallelize over chunks,
+    // however few.
+    forEachChunk(ranges, fast_backend, kc, processOne);
 
     int64_t reuses = 0;
     for (const TenderGemmStats &s : local)
@@ -569,6 +690,72 @@ tenderMatmul(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
     const KernelContext &kc = kernels ? *kernels : defaultKernels();
     return runChunkPipeline(x, qw, w, nullptr, config, RequantMode::Implicit,
                             stats, kc);
+}
+
+bool
+foldedProductFits(int k, const TenderConfig &config)
+{
+    if (config.bits < 2 || config.bits > 16)
+        return false;
+    const int64_t max_code = maxCode(config.bits);
+    int64_t top = max_code; // maxCode * alpha^(G-1): group 0's folded code
+    for (int g = 1; g < config.numGroups; ++g) {
+        top *= config.alpha;
+        if (top > int64_t(std::numeric_limits<int16_t>::max()))
+            return false;
+    }
+    return top <= int64_t(std::numeric_limits<int16_t>::max()) &&
+        int64_t(k) * max_code * top <=
+        int64_t(std::numeric_limits<int32_t>::max());
+}
+
+Matrix
+tenderMatmul(const Matrix &x, const QuantizedColumns &cols, const Matrix &w,
+             const TenderConfig &config, const KernelContext *kernels)
+{
+    TENDER_CHECK(x.cols() == w.rows());
+    TENDER_CHECK(cols.codes.rows() == w.cols() &&
+                 cols.codes.cols() == w.rows());
+    TENDER_CHECK(cols.bits == config.bits);
+    TENDER_CHECK_MSG(foldedProductFits(w.rows(), config),
+                     "folded product needs K * maxCode^2 * alpha^(G-1) <= "
+                     "INT32_MAX, K = " << w.rows());
+    const KernelContext &kc = kernels ? *kernels : defaultKernels();
+    const int n = w.cols();
+    Matrix y(x.rows(), n, 0.f);
+    const auto ranges = chunkRanges(x.rows(), config.rowChunk);
+    forEachChunk(ranges, true, kc, [&](size_t ci) {
+        const auto [r0, r1] = ranges[ci];
+        const Matrix chunk = x.rowSlice(r0, r1);
+        const ChunkMeta meta = decomposeChunk(chunk, config);
+        const QuantizedChunk qc = quantizeChunk(chunk, meta, config.bits);
+        const Matrix correction = biasCorrectionRow(meta, w);
+        MatrixT<int16_t> folded;
+        if (!foldChunkCodes(qc, config.alpha, folded)) {
+            // Every code is zero (every one-row chunk under bias
+            // subtraction: its per-channel bias is the row itself), so
+            // the product is the bias-correction row. A zero accumulator finishes to +0.0,
+            // and adding the row to it turns a -0.0 correction into +0.0
+            // exactly as the full finish does.
+            const float *corr = correction.rowPtr(0);
+            for (int r = r0; r < r1; ++r) {
+                float *yrow = y.rowPtr(r);
+                for (int j = 0; j < n; ++j)
+                    yrow[j] = 0.f + corr[j];
+            }
+            return;
+        }
+        MatrixT<int32_t> acc(r1 - r0, n);
+        const int64_t blocks = (n + kFastColBlock - 1) / kFastColBlock;
+        kc.parallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
+            for (int64_t b = b0; b < b1; ++b)
+                foldedDotCols(folded, cols.codes, int(b) * kFastColBlock,
+                              std::min(int(b + 1) * kFastColBlock, n), acc);
+        });
+        finishRowsInto(acc, meta.scale[size_t(meta.groups() - 1)],
+                       cols.colScale, correction, y, r0);
+    });
+    return y;
 }
 
 Matrix

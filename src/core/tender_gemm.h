@@ -14,8 +14,7 @@
  * accumulate-with-requant -> finish-into-output-view) over a weight that
  * is already quantized: the fp32-weight entry points quantize it first,
  * and the QuantizedWeight overload of tenderMatmul skips that step for a
- * weight quantized once up front (how TenderScheme::prepare serves every
- * projection of a decode session), bit-identical to the per-call path.
+ * weight quantized once up front, bit-identical to the per-call path.
  * Per-chunk tasks are dispatched over the KernelContext's thread pool:
  * Tender's row-chunk decomposition makes chunks embarrassingly parallel by
  * construction. The threaded backend additionally runs a cache-blocked
@@ -26,6 +25,27 @@
  * weight's int16 codes in place. Integer arithmetic is exact, so results
  * are bit-identical to the golden serial kernels and the determinism
  * tests assert exact equality.
+ *
+ * The folded product (the QuantizedColumns overload) replaces the group
+ * walk for weights inside the fold bound. Adjacent group scales are
+ * exactly alpha apart, so the shift between groups distributes over the
+ * sum: A_{G-1} = sum_c (q_c * alpha^(G-1-g(c))) * w_c. Each chunk is
+ * decomposed and quantized as above, each code is multiplied by its
+ * group's alpha^(G-1-g) into int16, and one int16 dot-product GEMM with
+ * int32 accumulation against the weight's N x K codes gives A_{G-1},
+ * finished with the same arithmetic. The bound, foldedProductFits:
+ * maxCode * alpha^(G-1) <= INT16_MAX and K * maxCode^2 * alpha^(G-1) <=
+ * INT32_MAX. It makes the fold exact and proves that none of the golden
+ * kernel's group-boundary overflow checks could have fired, so products
+ * are bit-identical to tenderMatmul(x, w) on every backend. At 8 bits,
+ * G = 8 and alpha = 2 it holds up to K = 1040. A chunk whose codes are
+ * all zero skips the GEMM: its product is the bias-correction row.
+ * TenderScheme::prepare chooses between the two forms once, from the
+ * weight's shape. The fold kernel is a plain register-tiled loop without
+ * TENDER_PRAGMA_SIMD: GCC 12 with -march=native compiles its int16
+ * reduction to dot-product instructions (vpdpwssd) on its own, and the
+ * pragma in its usual place, on the inner loop, keeps the reduction
+ * scalar.
  */
 
 #ifndef TENDER_CORE_TENDER_GEMM_H
@@ -94,6 +114,20 @@ Matrix tenderMatmul(const Matrix &x, const Matrix &w,
 Matrix tenderMatmul(const Matrix &x, const QuantizedWeight &qw,
                     const Matrix &w, const TenderConfig &config,
                     TenderGemmStats *stats = nullptr,
+                    const KernelContext *kernels = nullptr);
+
+/** True when the folded product is exact for a K-row weight under
+ *  `config`: maxCode * alpha^(G-1) fits int16 and K * maxCode^2 *
+ *  alpha^(G-1) fits int32 (see the file comment). */
+bool foldedProductFits(int k, const TenderConfig &config);
+
+/** The folded product against a weight quantized into columns: `cols`
+ *  must be quantizeWeightColumns(w, config.bits), and
+ *  foldedProductFits(w.rows(), config) must hold. Bit-identical to
+ *  tenderMatmul(x, w, config) on every backend; `w` is read only for each
+ *  chunk's bias-correction row. */
+Matrix tenderMatmul(const Matrix &x, const QuantizedColumns &cols,
+                    const Matrix &w, const TenderConfig &config,
                     const KernelContext *kernels = nullptr);
 
 /** Same pipeline but with pre-calibrated per-chunk metadata. Chunks beyond

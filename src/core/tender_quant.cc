@@ -1,5 +1,7 @@
 #include "core/tender_quant.h"
 
+#include <algorithm>
+
 #include "quant/quantizer.h"
 
 namespace tender {
@@ -50,19 +52,18 @@ dequantizeChunk(const QuantizedChunk &qc)
     return out;
 }
 
-QuantizedWeight
-quantizeWeight(const Matrix &w, int bits)
+namespace {
+
+/** Per-output-column weight scales. One row-major pass finds all column
+ *  maxima (max is order-independent, so the scales match a per-column
+ *  scan exactly); row-pointer walks keep it out of the bounds-checked
+ *  accessor. */
+std::vector<float>
+columnScales(const Matrix &w, int bits)
 {
     TENDER_REQUIRE(bits >= 2 && bits <= 16,
                    "weight codes are int16: bits must be in [2, 16], got "
                    << bits);
-    QuantizedWeight qw;
-    qw.bits = bits;
-    qw.codes = MatrixT<int16_t>(w.rows(), w.cols());
-    qw.colScale.resize(size_t(w.cols()));
-    // One row-major pass for all column maxima (max is order-independent,
-    // so the scales match the per-column scan exactly); row-pointer walks
-    // keep the quantization pass out of the bounds-checked accessor.
     std::vector<float> col_max(size_t(w.cols()), 0.f);
     for (int r = 0; r < w.rows(); ++r) {
         const float *row = w.rowPtr(r);
@@ -70,8 +71,21 @@ quantizeWeight(const Matrix &w, int bits)
             col_max[size_t(c)] = std::max(col_max[size_t(c)],
                                           std::abs(row[c]));
     }
+    std::vector<float> scales(size_t(w.cols()));
     for (int c = 0; c < w.cols(); ++c)
-        qw.colScale[size_t(c)] = scaleFor(col_max[size_t(c)], bits);
+        scales[size_t(c)] = scaleFor(col_max[size_t(c)], bits);
+    return scales;
+}
+
+} // namespace
+
+QuantizedWeight
+quantizeWeight(const Matrix &w, int bits)
+{
+    QuantizedWeight qw;
+    qw.bits = bits;
+    qw.colScale = columnScales(w, bits);
+    qw.codes = MatrixT<int16_t>(w.rows(), w.cols());
     for (int r = 0; r < w.rows(); ++r) {
         const float *row = w.rowPtr(r);
         int16_t *codes = qw.codes.rowPtr(r);
@@ -80,6 +94,35 @@ quantizeWeight(const Matrix &w, int bits)
                 quantizeValue(row[c], qw.colScale[size_t(c)], bits));
     }
     return qw;
+}
+
+QuantizedColumns
+quantizeWeightColumns(const Matrix &w, int bits)
+{
+    QuantizedColumns qc;
+    qc.bits = bits;
+    qc.colScale = columnScales(w, bits);
+    qc.codes = MatrixT<int16_t>(w.cols(), w.rows());
+    // A band of weight rows is quantized row-major into a small buffer,
+    // as quantizeWeight does, then scattered into the columns.
+    constexpr int kBand = 16;
+    MatrixT<int16_t> band(kBand, w.cols());
+    for (int r0 = 0; r0 < w.rows(); r0 += kBand) {
+        const int rn = std::min(kBand, w.rows() - r0);
+        for (int i = 0; i < rn; ++i) {
+            const float *row = w.rowPtr(r0 + i);
+            int16_t *codes = band.rowPtr(i);
+            for (int c = 0; c < w.cols(); ++c)
+                codes[c] = int16_t(
+                    quantizeValue(row[c], qc.colScale[size_t(c)], bits));
+        }
+        for (int c = 0; c < w.cols(); ++c) {
+            int16_t *codes = qc.codes.rowPtr(c) + r0;
+            for (int i = 0; i < rn; ++i)
+                codes[i] = band.rowPtr(i)[c];
+        }
+    }
+    return qc;
 }
 
 Matrix

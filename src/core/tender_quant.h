@@ -4,9 +4,11 @@
  * (per-column, linear symmetric) for the Tender pipeline.
  *
  * Only activations are decomposed at runtime. A weight is quantized once
- * into a QuantizedWeight, and the GEMM pipeline (core/tender_gemm.h) reads
- * its codes in place on every call: the serving runtime prepares each
- * projection once per session through GemmScheme::prepare.
+ * into a QuantizedWeight (K x N codes), or into QuantizedColumns (the same
+ * codes stored N x K) for the folded product, and the GEMM pipeline
+ * (core/tender_gemm.h) reads its codes in place on every call: the serving
+ * runtime prepares each projection once per session through
+ * GemmScheme::prepare.
  */
 
 #ifndef TENDER_CORE_TENDER_QUANT_H
@@ -35,6 +37,17 @@ struct QuantizedWeight
     int bits = 8;
 };
 
+/** QuantizedWeight's codes and column scales with the codes stored
+ *  transposed: N x K, so output column j's codes are contiguous over the
+ *  K input channels (row j). The folded Tender product reads them as the
+ *  right operand of an int16 dot-product GEMM. */
+struct QuantizedColumns
+{
+    MatrixT<int16_t> codes; ///< N x K
+    std::vector<float> colScale; ///< one scale per output column
+    int bits = 8;
+};
+
 /**
  * Quantize a chunk with precomputed metadata. Values outside the
  * calibrated range (static calibration applied to unseen data) clamp to
@@ -48,6 +61,10 @@ Matrix dequantizeChunk(const QuantizedChunk &qc);
 
 /** Quantize weights per output column (2 <= bits <= 16). */
 QuantizedWeight quantizeWeight(const Matrix &w, int bits);
+
+/** quantizeWeight(w, bits) written straight into the N x K layout: the
+ *  same codes and scales, with no K x N copy along the way. */
+QuantizedColumns quantizeWeightColumns(const Matrix &w, int bits);
 
 /** Dequantize weights. */
 Matrix dequantizeWeight(const QuantizedWeight &qw);

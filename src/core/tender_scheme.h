@@ -2,6 +2,15 @@
  * @file
  * GemmScheme adapter for Tender so the accuracy harnesses can swap it in
  * next to the baseline quantization schemes.
+ *
+ * prepare() quantizes a weight once and picks its product form from the
+ * weight's shape, once: inside the fold bound (foldedProductFits in
+ * core/tender_gemm.h; every projection of the OPT-6.7B /16 serving
+ * replica at 8 bits, G = 8, alpha = 2) it stores the codes N x K and runs
+ * the folded int16 dot-product GEMM, else it stores them K x N and runs
+ * matmul's group-walk kernels. Either form is bit-identical to
+ * matmul(x, w), which, like stats requests and the explicit path, keeps
+ * the group-walk kernels.
  */
 
 #ifndef TENDER_CORE_TENDER_SCHEME_H
@@ -53,8 +62,8 @@ class TenderScheme : public GemmScheme
     }
 
     /** Quantize `w` once (per-column scales, int16 codes); each product
-     *  then runs matmul's pipeline on those codes without re-quantizing,
-     *  dispatching on kernels() at call time as matmul does. */
+     *  then runs on those codes without re-quantizing, dispatching on
+     *  kernels() at call time as matmul does. */
     std::unique_ptr<PreparedWeight>
     prepare(const Matrix &w) const override
     {
@@ -69,21 +78,30 @@ class TenderScheme : public GemmScheme
       public:
         Prepared(const TenderScheme &scheme, const Matrix &w)
             : scheme_(scheme), w_(w),
-              qw_(quantizeWeight(w, scheme.config_.bits))
+              folded_(foldedProductFits(w.rows(), scheme.config_))
         {
+            // Only the chosen layout is kept: the codes are stored once.
+            if (folded_)
+                cols_ = quantizeWeightColumns(w, scheme.config_.bits);
+            else
+                qw_ = quantizeWeight(w, scheme.config_.bits);
         }
 
         Matrix
         matmul(const Matrix &x) const override
         {
-            return tenderMatmul(x, qw_, w_, scheme_.config_, nullptr,
-                                &scheme_.kernels());
+            const KernelContext *kc = &scheme_.kernels();
+            return folded_
+                ? tenderMatmul(x, cols_, w_, scheme_.config_, kc)
+                : tenderMatmul(x, qw_, w_, scheme_.config_, nullptr, kc);
         }
 
       private:
         const TenderScheme &scheme_;
         const Matrix &w_; ///< read for the per-chunk bias correction
-        QuantizedWeight qw_;
+        bool folded_;
+        QuantizedColumns cols_; ///< N x K codes (folded product)
+        QuantizedWeight qw_;    ///< K x N codes (group-walk kernels)
     };
 
     TenderConfig config_;

@@ -16,15 +16,6 @@ scaleFor(float abs_max, int bits)
     return abs_max / float(maxCode(bits));
 }
 
-int32_t
-quantizeValue(float x, float scale, int bits)
-{
-    const int32_t k = maxCode(bits);
-    const float t = x / scale;
-    auto q = int32_t(std::nearbyintf(t));
-    return std::clamp(q, -k, k);
-}
-
 float
 tensorAbsMax(const Matrix &m)
 {

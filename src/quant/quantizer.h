@@ -13,6 +13,8 @@
 #ifndef TENDER_QUANT_QUANTIZER_H
 #define TENDER_QUANT_QUANTIZER_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "tensor/matrix.h"
@@ -29,8 +31,17 @@ maxCode(int bits)
 /** Scale factor mapping absmax onto the largest code. */
 float scaleFor(float abs_max, int bits);
 
-/** Quantize one value: round-to-nearest-even then clamp to [-k, k]. */
-int32_t quantizeValue(float x, float scale, int bits);
+/** Quantize one value: round-to-nearest-even then clamp to [-k, k].
+ *  Inline, so the per-element loops of the chunk and weight quantizers
+ *  vectorize. */
+inline int32_t
+quantizeValue(float x, float scale, int bits)
+{
+    const int32_t k = maxCode(bits);
+    const float t = x / scale;
+    auto q = int32_t(std::nearbyintf(t));
+    return std::clamp(q, -k, k);
+}
 
 /** Dequantize one code. */
 inline float

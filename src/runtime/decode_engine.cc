@@ -213,9 +213,11 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
     // masked columns contribute exp(-inf) = +0.0 to the denominator (an
     // exact identity) and come out as +0.0 probabilities, so skipping them
     // here and writing 0 directly is bit-identical while saving the three
-    // intermediate matrices per panel call. Panel row r is new token
-    // r % tnew of its head, hence the per-row-group causal limit.
+    // intermediate matrices per panel call. Each exp is computed once and
+    // kept for the normalize pass. Panel row r is new token r % tnew of
+    // its head, hence the per-row-group causal limit.
     const float inv_sqrt = 1.f / std::sqrt(float(dh));
+    std::vector<double> expv(static_cast<size_t>(len));
     for (int r = 0; r < qrows; ++r) {
         float *row = scores.rowPtr(r);
         const int limit = std::min(len, pos0 + (r % tnew) + 1);
@@ -225,27 +227,28 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
             row_max = std::max(row_max, row[j]);
         }
         double denom = 0.0;
+        for (int j = 0; j < limit; ++j) {
+            expv[size_t(j)] = std::exp(double(row[j]) - double(row_max));
+            denom += expv[size_t(j)];
+        }
         for (int j = 0; j < limit; ++j)
-            denom += std::exp(double(row[j]) - double(row_max));
-        for (int j = 0; j < limit; ++j)
-            row[j] = float(std::exp(double(row[j]) - double(row_max)) /
-                           denom);
+            row[j] = float(expv[size_t(j)] / denom);
         for (int j = limit; j < len; ++j)
             row[j] = 0.f;
     }
     const Matrix &probs = scores;
 
-    // probs * V chunk by chunk on the V codes, per-chunk dequantization
-    // folded into the double accumulate. Chunks are outermost so the
-    // per-chunk scale gather is paid once for the whole panel; each
-    // (row, channel) accumulator still sees the exact per-element
-    // arithmetic of the oracle in global row order — same dequantized
-    // float values, same double accumulation chain — so given equal probs
-    // the output matches the materialized-GEMM path, and every panel row
-    // matches a heads=1 call bit for bit.
+    // probs * V chunk by chunk on the V codes. Chunks are outermost and
+    // each is dequantized once for the whole panel; each (row, channel)
+    // accumulator still sees the exact per-element arithmetic of the
+    // oracle in global row order — same dequantized float values, same
+    // double accumulation chain — so given equal probs the output matches
+    // the materialized-GEMM path, and every panel row matches a heads=1
+    // call bit for bit.
     Matrix out(qrows, dh);
     std::vector<double> acc(size_t(qrows) * size_t(dh), 0.0);
     std::vector<float> cs(static_cast<size_t>(dh));
+    std::vector<double> vdeq(size_t(values.rowChunk) * size_t(dh));
     int v0 = 0;
     for (const QuantizedChunk *ch : values.frozen) {
         const ChunkMeta &meta = ch->meta;
@@ -255,15 +258,20 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
             cs[size_t(c)] = meta.scale[size_t(meta.group[size_t(c)])];
         const float *bias = meta.bias.data();
         const int rows = ch->codes.rows();
+        for (int j = 0; j < rows; ++j) {
+            const int32_t *code = ch->codes.rowPtr(j);
+            double *vrow = vdeq.data() + size_t(j) * size_t(dh);
+            for (int c = 0; c < dh; ++c)
+                vrow[c] = double(float(code[c]) * cs[size_t(c)] + bias[c]);
+        }
         for (int r = 0; r < qrows; ++r) {
             const float *prow = probs.rowPtr(r) + v0;
             double *arow = acc.data() + size_t(r) * size_t(dh);
             for (int j = 0; j < rows; ++j) {
                 const double w = double(prow[j]);
-                const int32_t *code = ch->codes.rowPtr(j);
+                const double *vrow = vdeq.data() + size_t(j) * size_t(dh);
                 for (int c = 0; c < dh; ++c)
-                    arow[c] += w *
-                        double(float(code[c]) * cs[size_t(c)] + bias[c]);
+                    arow[c] += w * vrow[c];
             }
         }
         v0 += rows;

@@ -33,7 +33,11 @@
  * into a per-layer PreparedProjections table that every step multiplies
  * against. A quantizing scheme's activation chunk scales are not
  * row-local, so each segment is multiplied on its own; only the
- * activations are quantized per step.
+ * activations are quantized per step. A one-row segment (every decode
+ * step) is a one-row Tender chunk, which quantizes losslessly: with bias
+ * subtraction (the default) its per-channel bias is the row itself and
+ * every code is zero, so its product is the chunk's bias-correction row
+ * (the folded product of core/tender_gemm.h skips the integer GEMM).
  *
  * Vocab closes the generation loop without a learned LM head: a
  * deterministic synthetic embedding table maps token ids to input rows
@@ -278,9 +282,6 @@ class Vocab
     Matrix embedding_; ///< vocab x dModel input rows
     Matrix readout_;   ///< vocab x dModel untied LM head
 };
-
-/** Historical name from when the readout could only greedy-decode. */
-using GreedyVocab = Vocab;
 
 } // namespace tender
 

@@ -265,6 +265,10 @@ TEST(Integration, Int8AccumulatorSafetyBoundary)
     TenderConfig risky = safe;
     risky.numGroups = 26; // shift budget beyond 2^25 * max partial sum
     EXPECT_DEATH(tenderMatmul(x, w, risky), "overflow");
+    // A prepared weight outside the fold bound keeps the group walk and
+    // its overflow check.
+    const TenderScheme scheme(risky);
+    EXPECT_DEATH(scheme.prepare(w)->matmul(x), "overflow");
 }
 
 TEST(Integration, DeterministicAcrossRuns)

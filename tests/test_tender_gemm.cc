@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/tender_gemm.h"
 #include "core/tender_scheme.h"
@@ -363,33 +364,105 @@ TEST(TenderScheme, FakeQuantMatchesPipelineError)
     EXPECT_NEAR(e_pipeline, e_fake, std::max(1e-9, e_fake * 0.05));
 }
 
-TEST(TenderScheme, PreparedWeightMatchesPerCallBitExact)
+/** Bitwise equality: operator== would also accept -0.0 for +0.0. */
+bool
+bitIdentical(const Matrix &a, const Matrix &b)
 {
-    // prepare() quantizes the weight once; every product must still equal
-    // the per-call pipeline exactly, on every backend: a lone decode row,
-    // one whole chunk, and a chunk plus a ragged tail, against N = 300
-    // (two 128-column blocks plus a partial one).
-    Rng rng(41);
-    const Matrix w = randomGaussian(64, 300, rng, 0.f, 0.05f);
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+        std::memcmp(a.data().data(), b.data().data(),
+                    a.size() * sizeof(float)) == 0;
+}
+
+/** Every row of a constant-column activation is the same, so each
+ *  channel's bias is its value and every code is zero. */
+Matrix
+constantColumns(int rows, int cols, Rng &rng)
+{
+    const Matrix row = randomGaussian(1, cols, rng);
+    Matrix m(rows, cols);
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c)
+            m(r, c) = row(0, c);
+    return m;
+}
+
+/** prepare(w)->matmul(x) against the per-call tenderMatmul(x, w), bit
+ *  for bit, on every backend: a lone decode row, one whole chunk, a chunk
+ *  plus a one-row tail, and two chunks, each with an outlier channel
+ *  every 13 (so group 0 is occupied) and with constant columns (so every
+ *  code is zero and the folded GEMM is skipped), plus any `extra`
+ *  activations. */
+void
+expectPreparedMatchesPerCall(const Matrix &w, const TenderConfig &cfg,
+                             Rng &rng,
+                             const std::vector<Matrix> &extra = {})
+{
+    std::vector<Matrix> xs = extra;
+    for (int rows : {1, 32, 33, 64}) {
+        xs.push_back(outlierActivation(rows, w.rows(), rng));
+        xs.push_back(constantColumns(rows, w.rows(), rng));
+    }
     for (Backend backend :
          {Backend::Serial, Backend::Threaded, Backend::Packed}) {
         KernelContext kc(backend, 2);
-        for (int bits : {4, 8}) {
-            TenderConfig cfg;
-            cfg.bits = bits;
-            cfg.rowChunk = 32;
-            TenderScheme scheme(cfg);
-            scheme.setKernels(&kc);
-            const std::unique_ptr<PreparedWeight> prepared =
-                scheme.prepare(w);
-            for (int rows : {1, cfg.rowChunk, cfg.rowChunk + 3}) {
-                const Matrix x = outlierActivation(rows, 64, rng);
-                EXPECT_TRUE(prepared->matmul(x) ==
-                            tenderMatmul(x, w, cfg, nullptr, &kc))
-                    << backendName(backend) << " bits=" << bits
-                    << " rows=" << rows;
+        TenderScheme scheme(cfg);
+        scheme.setKernels(&kc);
+        const std::unique_ptr<PreparedWeight> prepared = scheme.prepare(w);
+        for (size_t i = 0; i < xs.size(); ++i)
+            EXPECT_TRUE(bitIdentical(prepared->matmul(xs[i]),
+                                     tenderMatmul(xs[i], w, cfg, nullptr,
+                                                  &kc)))
+                << backendName(backend) << " bits=" << cfg.bits
+                << " G=" << cfg.numGroups << " alpha=" << cfg.alpha
+                << " K=" << w.rows() << " x#" << i << " ("
+                << xs[i].rows() << " rows)";
+    }
+}
+
+TEST(TenderScheme, PreparedWeightMatchesPerCallBitExact)
+{
+    // prepare() quantizes the weight once and picks the folded int16
+    // dot-product GEMM when the fold bound holds (G 1, or G 8 at alpha 2,
+    // at either width), else the group walk; either way every product
+    // must equal the per-call pipeline. N = 300 spans two 128-column
+    // blocks plus a partial one.
+    Rng rng(41);
+    const Matrix w = randomGaussian(64, 300, rng, 0.f, 0.05f);
+    for (int bits : {4, 8})
+        for (int groups : {1, 8})
+            for (int alpha : {2, 4}) {
+                TenderConfig cfg;
+                cfg.bits = bits;
+                cfg.numGroups = groups;
+                cfg.alpha = alpha;
+                cfg.rowChunk = 32;
+                expectPreparedMatchesPerCall(w, cfg, rng);
             }
+
+    // One K on each side of the bound at 8 bits, G = 8, alpha = 2
+    // (K * 127^2 * 2^7 <= INT32_MAX up to K = 1040), with N = 130 not a
+    // multiple of the kernel's 4-column tile.
+    TenderConfig serve;
+    serve.rowChunk = 32;
+    EXPECT_TRUE(foldedProductFits(1040, serve));
+    EXPECT_FALSE(foldedProductFits(1041, serve));
+    for (int k : {1040, 1041}) {
+        const Matrix wk = randomGaussian(k, 130, rng, 0.f, 0.05f);
+        std::vector<Matrix> extra;
+        if (k == 1040) {
+            // The bound's worst case: rows of alternating sign keep every
+            // bias at zero, so every code is +-127 in group 0, and a
+            // constant weight codes to 127: each output reaches
+            // 1040 * 127^2 * 2^7, just inside int32.
+            Matrix worst(64, k);
+            for (int r = 0; r < worst.rows(); ++r)
+                for (int c = 0; c < k; ++c)
+                    worst(r, c) = (r % 2) ? 1.f : -1.f;
+            extra.push_back(worst);
+            expectPreparedMatchesPerCall(Matrix(k, 130, 0.5f), serve, rng,
+                                         extra);
         }
+        expectPreparedMatchesPerCall(wk, serve, rng, extra);
     }
 }
 
