@@ -92,17 +92,6 @@
  * every k, with both drafters (the accept-only-what-the-model-would-emit
  * verification contract).
  *
- * The "w8a8_step" scenario splits the serving benchmark's w8a8_batch
- * configuration by decode phase: OPT-6.7B /16, TenderScheme W8A8 (8 bits,
- * G 8, alpha 2, 32-row chunks) on all six weight GEMMs, Tender-quantized
- * fused KV, maxBatch 8 on a 2-worker threaded pool, 12 prompts of 128-384
- * tokens. Recorded: DecodePhaseTimes (projections, append, history,
- * attention) of the first step, which prefills the first wave of
- * prompts, and per decode-only step, plus tokens/s with prepared weights
- * and through a scheme that overrides only matmul (so every product runs
- * the per-call pipeline); gated: served_bitexact — both serve the same
- * tokens.
- *
  * The "correctness" block records machine-checkable invariants (fp32
  * decode bit-parity with full prefill, quantized-KV NMSE under its
  * bound, fused-vs-dequantize attention NMSE under its bound,
@@ -135,7 +124,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/tender_scheme.h"
 #include "model/transformer.h"
 #include "quant/metrics.h"
 #include "runtime/batch_scheduler.h"
@@ -1155,153 +1143,6 @@ runSpec(SyntheticModel &model, const KernelContext &kc, KVCacheMode mode,
     return best;
 }
 
-// ---- w8a8_step: phase split of the serving benchmark's W8A8 batch --------
-
-/** Forwards only matmul, so GemmScheme::prepare's default serves every
- *  product through the wrapped scheme's per-call matmul(x, w): the
- *  reference the prepared products must reproduce token for token. */
-class PerCallScheme : public GemmScheme
-{
-  public:
-    explicit PerCallScheme(const GemmScheme &inner) : inner_(inner) {}
-
-    std::string name() const override { return inner_.name(); }
-
-    Matrix
-    fakeQuant(const Matrix &m, Operand op) const override
-    {
-        return inner_.fakeQuant(m, op);
-    }
-
-    Matrix
-    matmul(const Matrix &x, const Matrix &w) const override
-    {
-        return inner_.matmul(x, w);
-    }
-
-  private:
-    const GemmScheme &inner_;
-};
-
-/** Unshared greedy prompts drained through one scheduler (servebench's
- *  w8a8_batch shape: 12 prompts of 128-384 tokens, 16-32 new tokens,
- *  maxBatch 8). Lengths are evenly spaced and dealt in a stride-5 order,
- *  so the first admission wave spans the whole range. */
-struct StepSpec
-{
-    int maxBatch = 8;
-    int promptMin = 128, promptMax = 384;
-    std::vector<GenRequest> requests;
-};
-
-StepSpec
-stepSpec(int vocab, bool smoke)
-{
-    StepSpec spec;
-    const int n = smoke ? 4 : 12;
-    const int new_min = smoke ? 4 : 16, new_max = smoke ? 6 : 32;
-    if (smoke) {
-        spec.maxBatch = 2;
-        spec.promptMin = 32;
-        spec.promptMax = 96;
-    }
-    for (int id = 0; id < n; ++id) {
-        const int slot = (id * 5) % n;
-        const int len = spec.promptMin +
-            slot * (spec.promptMax - spec.promptMin) / (n - 1);
-        GenRequest r;
-        r.id = id;
-        for (int t = 0; t < len; ++t)
-            r.promptTokens.push_back((id * 37 + t * 13) % vocab);
-        r.maxNewTokens = new_min + slot * (new_max - new_min) / (n - 1);
-        spec.requests.push_back(r);
-    }
-    return spec;
-}
-
-/** DecodePhaseTimes of a group of steps, in ms per step. */
-struct PhaseSplit
-{
-    int64_t steps = 0;
-    int64_t rows = 0; ///< stacked rows over the group's steps
-    double projectionsMs = 0.0, appendMs = 0.0, historyMs = 0.0,
-           attentionMs = 0.0;
-
-    void
-    add(const DecodePhaseTimes &before, const DecodePhaseTimes &after,
-        int64_t step_rows)
-    {
-        ++steps;
-        rows += step_rows;
-        projectionsMs += (after.projectionsUs - before.projectionsUs) / 1e3;
-        appendMs += (after.appendUs - before.appendUs) / 1e3;
-        historyMs += (after.historyUs - before.historyUs) / 1e3;
-        attentionMs += (after.attentionUs - before.attentionUs) / 1e3;
-    }
-
-    /** Per-step means. */
-    PhaseSplit
-    perStep() const
-    {
-        PhaseSplit m = *this;
-        const double n = steps > 0 ? double(steps) : 1.0;
-        m.projectionsMs /= n;
-        m.appendMs /= n;
-        m.historyMs /= n;
-        m.attentionMs /= n;
-        return m;
-    }
-};
-
-struct StepPoint
-{
-    double tokensPerS = 0.0;
-    PhaseSplit first;  ///< the first step: prefill of the first wave
-    PhaseSplit decode; ///< steps with no prompt rows, per step
-    std::vector<GenResult> results;
-};
-
-/** One drain of `spec` with `scheme` on the six weight GEMMs,
- *  Tender-quantized fused KV in 32-row chunks, phases split per step. */
-StepPoint
-runStepOnce(SyntheticModel &model, const KernelContext &kc,
-            const GemmScheme &scheme, const StepSpec &spec, int vocab)
-{
-    SchedulerOptions options;
-    options.maxBatch = spec.maxBatch;
-    options.vocabSize = vocab;
-    options.decode.kernels = &kc;
-    options.decode.scheme = &scheme;
-    options.decode.cache.mode = KVCacheMode::TenderQuantized;
-    options.decode.cache.tender.rowChunk = 32;
-    options.decode.fusedQuantKv = true;
-    DecodePhaseTimes phases;
-    options.decode.phases = &phases;
-    BatchScheduler scheduler(model, options);
-    for (const GenRequest &r : spec.requests)
-        scheduler.submit(r);
-    StepPoint p;
-    const auto t0 = Clock::now();
-    for (;;) {
-        const DecodePhaseTimes before = phases;
-        const SchedulerStats stats = scheduler.stats();
-        if (!scheduler.step())
-            break;
-        const int64_t rows = scheduler.stats().batchedRows -
-            stats.batchedRows;
-        if (stats.steps == 0)
-            p.first.add(before, phases, rows);
-        else if (scheduler.stats().prefillRows == stats.prefillRows)
-            p.decode.add(before, phases, rows);
-    }
-    const double s =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    p.results = scheduler.drain();
-    p.tokensPerS = double(scheduler.stats().decodedTokens) / s;
-    p.decode = p.decode.perStep();
-    return p;
-}
-
 // ---- JSON emission ------------------------------------------------------
 
 void
@@ -1417,17 +1258,6 @@ emitFaultArm(FILE *f, const char *key, const FaultChurnPoint &p)
                  key, p.survivorTokensPerS, p.finished, p.failed,
                  p.shedQueueFull, p.shedDeadline,
                  (long long)p.allocFaults, (long long)p.callbackFaults);
-}
-
-void
-emitPhaseSplit(FILE *f, const char *key, const PhaseSplit &p)
-{
-    std::fprintf(f,
-                 "    \"%s\": {\"steps\": %lld, \"rows\": %lld, "
-                 "\"projections\": %.3f, \"append\": %.3f, "
-                 "\"history\": %.3f, \"attention\": %.3f},\n",
-                 key, (long long)p.steps, (long long)p.rows, p.projectionsMs,
-                 p.appendMs, p.historyMs, p.attentionMs);
 }
 
 void
@@ -1796,48 +1626,6 @@ main(int argc, char **argv)
                     spec_pl[a][1].tokensPerS, spec_pl[a][1].acceptance,
                     spec_dm[a][1].tokensPerS, spec_dm[a][1].acceptance);
 
-    // Phase split of the serving benchmark's w8a8_batch configuration:
-    // OPT-6.7B /16, TenderScheme W8A8 (G 8, alpha 2, 32-row chunks) on all
-    // six weight GEMMs, Tender-quantized fused KV, a 2-worker threaded
-    // pool. The prepared (quantize-once, folded) products must serve the
-    // same tokens as a scheme that overrides only matmul.
-    const ModelConfig step_config = replicaOf(modelByName("OPT-6.7B"), 16);
-    SyntheticModel step_model(step_config, 5);
-    KernelContext step_kc(Backend::Threaded, 2);
-    TenderConfig step_tender;
-    step_tender.rowChunk = 32;
-    TenderScheme step_scheme(step_tender);
-    step_scheme.setKernels(&step_kc);
-    const PerCallScheme per_call_scheme(step_scheme);
-    const int step_vocab = 512;
-    const StepSpec sspec = stepSpec(step_vocab, smoke);
-    const StepPoint per_call = runStepOnce(step_model, step_kc,
-                                           per_call_scheme, sspec,
-                                           step_vocab);
-    StepPoint served;
-    bool served_bitexact = true;
-    for (int r = 0; r < reps; ++r) {
-        StepPoint p =
-            runStepOnce(step_model, step_kc, step_scheme, sspec, step_vocab);
-        served_bitexact = served_bitexact &&
-            sameTokens(p.results, per_call.results);
-        if (p.tokensPerS > served.tokensPerS)
-            served = std::move(p);
-    }
-    std::printf("w8a8 step (%s /16, %zu requests, maxBatch %d): %.1f tok/s "
-                "prepared vs %.1f per-call; first step (%lld rows) "
-                "projections %.1f ms, append %.1f, history %.1f, attention "
-                "%.1f; decode step projections %.2f ms, append %.2f, "
-                "history %.2f, attention %.2f (%lld steps); tokens %s\n",
-                step_config.name.c_str(), sspec.requests.size(),
-                sspec.maxBatch, served.tokensPerS, per_call.tokensPerS,
-                (long long)served.first.rows, served.first.projectionsMs,
-                served.first.appendMs, served.first.historyMs,
-                served.first.attentionMs, served.decode.projectionsMs,
-                served.decode.appendMs, served.decode.historyMs,
-                served.decode.attentionMs, (long long)served.decode.steps,
-                served_bitexact ? "bit-exact vs per-call" : "DIVERGED");
-
     const Correctness correct = checkCorrectness(model, gqa_model, kc);
     std::printf("correctness: fp32 decode %s full prefill, tender-KV "
                 "nmse %.3g (bound %.3g), fused-attention nmse %.3g "
@@ -1995,27 +1783,6 @@ main(int argc, char **argv)
     std::fprintf(f, "    \"spec_decode_bitexact\": %s\n",
                  spec_bitexact ? "true" : "false");
     std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"w8a8_step\": {\n");
-    std::fprintf(f,
-                 "    \"model\": \"%s\", \"requests\": %zu, "
-                 "\"prompt_tokens\": [%d, %d], \"max_batch\": %d, "
-                 "\"backend\": \"%s\", \"workers\": %d, \"bits\": %d, "
-                 "\"groups\": %d, \"alpha\": %d, \"row_chunk\": %d, "
-                 "\"reps\": %d, \"stat\": \"best\",\n",
-                 step_config.name.c_str(), sspec.requests.size(),
-                 sspec.promptMin, sspec.promptMax, sspec.maxBatch,
-                 backendName(step_kc.backend()).c_str(), step_kc.workers(),
-                 step_tender.bits, step_tender.numGroups, step_tender.alpha,
-                 step_tender.rowChunk, reps);
-    std::fprintf(f,
-                 "    \"tokens_per_s\": %.2f, "
-                 "\"per_call_tokens_per_s\": %.2f,\n",
-                 served.tokensPerS, per_call.tokensPerS);
-    emitPhaseSplit(f, "first_step_ms", served.first);
-    emitPhaseSplit(f, "decode_step_ms", served.decode);
-    std::fprintf(f, "    \"served_bitexact\": %s\n",
-                 served_bitexact ? "true" : "false");
-    std::fprintf(f, "  },\n");
     std::fprintf(f,
                  "  \"calibration\": {\"workload\": \"%s\", "
                  "\"score_mflops\": %.1f},\n",
@@ -2046,7 +1813,7 @@ main(int argc, char **argv)
                    correct.mqPanelBitExact && prefix_bitexact &&
                    refcounts_ok && order_independent && preempt_bitexact &&
                    preempt_accounting_ok && fault_bitexact &&
-                   fault_accounting_ok && spec_bitexact && served_bitexact
+                   fault_accounting_ok && spec_bitexact
                ? 0
                : 1;
 }

@@ -7,9 +7,7 @@
 # gated sampling_order_independent) and the preemption_pressure scenario
 # (mid-decode freeze/park/resume on vs off under a bounded pool: gated
 # preempt_resume_bitexact + park accounting, recorded interactive TTFT
-# p95 per arm) and the w8a8_step phase split of the serving benchmark's
-# W8A8 batch (first prefill step and per decode step; gated
-# served_bitexact) into BENCH_decode.json at the repo root (serving-path
+# p95 per arm) into BENCH_decode.json at the repo root (serving-path
 # perf trajectory, PR over PR).
 #
 # Usage: scripts/bench_decode.sh [--smoke] [prompt new_tokens workers [out.json]]

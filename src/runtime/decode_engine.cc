@@ -238,17 +238,22 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
     }
     const Matrix &probs = scores;
 
-    // probs * V chunk by chunk on the V codes. Chunks are outermost and
-    // each is dequantized once for the whole panel; each (row, channel)
-    // accumulator still sees the exact per-element arithmetic of the
-    // oracle in global row order — same dequantized float values, same
-    // double accumulation chain — so given equal probs the output matches
-    // the materialized-GEMM path, and every panel row matches a heads=1
-    // call bit for bit.
+    // probs * V chunk by chunk on the V codes. Chunks are outermost; each
+    // is dequantized once into `vdeq` when several panel rows read it,
+    // while a one-row panel (one head, one new token: a plain decode step
+    // without multi-query panels) reads each value once, so it
+    // dequantizes in line instead of paying a store and a reload. Either
+    // way each (row, channel) accumulator sees the exact per-element
+    // arithmetic of the oracle in global row order — same dequantized
+    // float values, same double accumulation chain — so given equal probs
+    // the output matches the materialized-GEMM path, and every panel row
+    // matches a heads=1 call bit for bit.
     Matrix out(qrows, dh);
     std::vector<double> acc(size_t(qrows) * size_t(dh), 0.0);
     std::vector<float> cs(static_cast<size_t>(dh));
-    std::vector<double> vdeq(size_t(values.rowChunk) * size_t(dh));
+    const bool stage = qrows > 1 && !values.frozen.empty();
+    std::vector<double> vdeq(
+        stage ? size_t(values.rowChunk) * size_t(dh) : 0);
     int v0 = 0;
     for (const QuantizedChunk *ch : values.frozen) {
         const ChunkMeta &meta = ch->meta;
@@ -258,6 +263,18 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
             cs[size_t(c)] = meta.scale[size_t(meta.group[size_t(c)])];
         const float *bias = meta.bias.data();
         const int rows = ch->codes.rows();
+        if (!stage) {
+            const float *prow = probs.rowPtr(0) + v0;
+            for (int j = 0; j < rows; ++j) {
+                const double w = double(prow[j]);
+                const int32_t *code = ch->codes.rowPtr(j);
+                for (int c = 0; c < dh; ++c)
+                    acc[size_t(c)] += w *
+                        double(float(code[c]) * cs[size_t(c)] + bias[c]);
+            }
+            v0 += rows;
+            continue;
+        }
         for (int j = 0; j < rows; ++j) {
             const int32_t *code = ch->codes.rowPtr(j);
             double *vrow = vdeq.data() + size_t(j) * size_t(dh);

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "core/tender_gemm.h"
 #include "core/tender_scheme.h"
@@ -388,17 +389,18 @@ constantColumns(int rows, int cols, Rng &rng)
 
 /** prepare(w)->matmul(x) against the per-call tenderMatmul(x, w), bit
  *  for bit, on every backend: a lone decode row, one whole chunk, a chunk
- *  plus a one-row tail, and two chunks, each with an outlier channel
- *  every 13 (so group 0 is occupied) and with constant columns (so every
- *  code is zero and the folded GEMM is skipped), plus any `extra`
- *  activations. */
+ *  plus a one-row tail, a chunk plus a three-row tail (rows left over
+ *  from the folded kernel's 4-row tile), and two chunks, each with an
+ *  outlier channel every 13 (so group 0 is occupied) and with constant
+ *  columns (so every code is zero and the folded GEMM is skipped), plus
+ *  any `extra` activations. */
 void
 expectPreparedMatchesPerCall(const Matrix &w, const TenderConfig &cfg,
                              Rng &rng,
                              const std::vector<Matrix> &extra = {})
 {
     std::vector<Matrix> xs = extra;
-    for (int rows : {1, 32, 33, 64}) {
+    for (int rows : {1, 32, 33, 35, 64}) {
         xs.push_back(outlierActivation(rows, w.rows(), rng));
         xs.push_back(constantColumns(rows, w.rows(), rng));
     }
@@ -464,6 +466,12 @@ TEST(TenderScheme, PreparedWeightMatchesPerCallBitExact)
         }
         expectPreparedMatchesPerCall(wk, serve, rng, extra);
     }
+
+    // The OPT-6.7B /16 serving replica's projection shapes: q/k/v/o and
+    // fc1 read K = 256, fc2 K = 1024, all inside the bound.
+    for (const auto &[k, n] : {std::pair{256, 1024}, std::pair{1024, 256}})
+        expectPreparedMatchesPerCall(randomGaussian(k, n, rng, 0.f, 0.05f),
+                                     serve, rng);
 }
 
 TEST(TenderScheme, NameAndConfig)
