@@ -13,8 +13,7 @@
  * the weights serves the whole batch — exactly the Section VI-D argument
  * that batching restores decode utilization; attention stays per request
  * over its own cache. The quantized-KV rows additionally record the
- * requantize-at-append / dequantize-on-read overhead and the cache
- * shrinkage.
+ * chunk-freeze / dequantize-on-read overhead and the cache shrinkage.
  *
  * The churn scenario interleaves mixed-length requests through a batch
  * whose slots turn over continuously. Both arms run the same paged
@@ -63,8 +62,9 @@
  * preemption/resume/deferral counters, tokens/s; gated:
  * preempt_resume_bitexact — every request's tokens are identical across
  * arms (the off arm runs uninterrupted, so this is the freeze/park/
- * resume replay contract in both KV modes, and the on arm must actually
- * preempt for the gate to count) — and the park-accounting audit
+ * resume contract in both KV modes — resume recomputes the dropped rows
+ * as one prefill segment — and the on arm must actually preempt for the
+ * gate to count) — and the park-accounting audit
  * (refcounts consistent, parks == unparks, zero parked blocks at drain,
  * every block returned once the prefix cache clears).
  *
@@ -85,9 +85,10 @@
  * The "spec_decode" scenario measures speculative decoding
  * (docs/speculation.md) on a repetitive-suffix workload: the
  * prompt-lookup and draft-model drafters at k in {2, 4, 8} against the
- * plain baseline, per KV arm (fp32 / tender / tender_fused). Recorded
- * per point: tokens/s, acceptance rate, drafted/accepted counts, steps,
- * speedup over plain; gated: spec_decode_bitexact — every speculative
+ * plain baseline, per KV arm (fp32 / tender / tender_fused); every arm
+ * verifies a draft as one batched segment. Recorded per point: tokens/s,
+ * acceptance rate, drafted/accepted counts, steps, speedup over plain;
+ * gated: spec_decode_bitexact — every speculative
  * run's tokens are bit-identical to the plain run's in every arm, at
  * every k, with both drafters (the accept-only-what-the-model-would-emit
  * verification contract).

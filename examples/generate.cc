@@ -46,9 +46,10 @@
  * victim — its complete KV blocks parked in the prefix cache, its
  * reservation released, its lifecycle state Preempted — serves the
  * interactive request, then resumes the victim by re-adopting the parked
- * pages. The walkthrough prints the lifecycle as it happens and checks
- * the defining property: the resumed request generates exactly the
- * tokens of an uninterrupted run.
+ * pages and recomputing the rest as one prefill segment that reads out
+ * its next token. The walkthrough prints the lifecycle as it happens and
+ * checks the defining property: the resumed request generates exactly
+ * the tokens of an uninterrupted run.
  *
  * With --faults the example walks the failure-containment layer
  * (util/fault_injection.h; docs/robustness.md): a request fleet runs
@@ -337,8 +338,10 @@ sampleDemo(SyntheticModel &model, const std::vector<int> &prompt,
  * --preempt walkthrough: a batch-class request decodes alone until an
  * interactive request arrives; the scheduler freezes it mid-decode
  * (parking its complete KV blocks in the prefix cache), serves the
- * interactive request, then resumes it. Returns true when the resumed
- * request's tokens exactly match an uninterrupted reference run.
+ * interactive request, then resumes it: the parked pages are adopted and
+ * every row past them is recomputed in one prefill step. Returns true
+ * when the resumed request's tokens exactly match an uninterrupted
+ * reference run.
  */
 bool
 preemptDemo(SyntheticModel &model)
@@ -402,8 +405,8 @@ preemptDemo(SyntheticModel &model)
                 c.metrics.ttftUs);
     const bool identical = v.tokens == reference;
     std::printf("victim tokens vs uninterrupted run: %s\n",
-                identical ? "IDENTICAL (freeze/park/resume replays the "
-                            "exact decode)"
+                identical ? "IDENTICAL (the one-step resume recomputes "
+                            "the dropped rows bit for bit)"
                           : "MISMATCH — this is a bug");
     return identical;
 }

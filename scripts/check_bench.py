@@ -43,7 +43,7 @@ recorded correctness field regresses:
     preemption_pressure.preempt_resume_bitexact   the preemption-on arm
         (which must actually preempt) produces the same tokens per
         request as the uninterrupted preemption-off arm, in both KV
-        modes — the freeze/park/resume replay contract
+        modes — the freeze/park/resume contract
     preemption_pressure.refcounts_consistent   park accounting settles
         (parks == unparks, zero parked blocks after drain) and every
         block returns once the prefix cache is cleared; per-arm

@@ -18,7 +18,7 @@ namespace tender {
 
 /** Symmetrization bias of one channel envelope: (max + min) / 2. The
  *  single definition shared by the full stats pass and the KV cache's
- *  incremental runtime requantization — both must derive bit-identical
+ *  chunk freeze (buildChunkMetaInto) — both must derive bit-identical
  *  metadata from the same envelopes. */
 inline float
 envelopeBias(float minv, float maxv)
@@ -57,10 +57,9 @@ ChannelStats computeChannelStats(const Matrix &chunk);
 
 /**
  * Build stats from per-channel min/max envelopes. Min/max accumulation is
- * order-independent and exact, so a caller that maintains envelopes
- * incrementally (the KV cache's runtime requantization appends one row at
- * a time) gets stats bit-identical to computeChannelStats over the same
- * rows — without rescanning the chunk each step.
+ * order-independent and exact, so a caller that accumulates envelopes
+ * itself gets stats bit-identical to computeChannelStats over the same
+ * rows.
  */
 ChannelStats statsFromMinMax(std::vector<float> minv,
                              std::vector<float> maxv);

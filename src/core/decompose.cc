@@ -8,6 +8,46 @@
 
 namespace tender {
 
+namespace {
+
+/** Recompute meta.order / meta.groupStart from meta.group. */
+void
+rebuildMetaOrder(ChunkMeta &meta)
+{
+    // Counting sort by group id, visiting channels in ascending index per
+    // group — stable by construction, so the compute order matches the
+    // stable_sort definition exactly (the Index Buffer stream order).
+    const int d = meta.channels();
+    const int g_count = meta.groups();
+    meta.order.resize(size_t(d));
+    meta.groupStart.assign(size_t(g_count) + 1, 0);
+    for (int c = 0; c < d; ++c)
+        ++meta.groupStart[size_t(meta.group[size_t(c)]) + 1];
+    for (int g = 0; g < g_count; ++g)
+        meta.groupStart[size_t(g) + 1] += meta.groupStart[size_t(g)];
+    std::vector<int> cursor(meta.groupStart.begin(),
+                            meta.groupStart.end() - 1);
+    for (int c = 0; c < d; ++c)
+        meta.order[size_t(cursor[size_t(meta.group[size_t(c)])]++)] = c;
+    TENDER_CHECK(meta.groupStart.back() == d);
+}
+
+/** Effective TMax over channel envelopes, exactly as buildChunkMeta
+ *  computes it for either bias mode. */
+float
+envelopeTmax(const float *minv, const float *maxv, int channels,
+             const TenderConfig &config)
+{
+    float tmax = 0.f;
+    for (int c = 0; c < channels; ++c)
+        tmax = std::max(tmax, config.biasSubtract
+                                  ? envelopeCmax(minv[c], maxv[c])
+                                  : envelopeAbsMax(minv[c], maxv[c]));
+    return tmax;
+}
+
+} // namespace
+
 int
 classifyChannel(float cmax, float tmax, int alpha, int num_groups)
 {
@@ -76,39 +116,6 @@ buildChunkMeta(const ChannelStats &stats, const TenderConfig &config)
 
     rebuildMetaOrder(meta);
     return meta;
-}
-
-void
-rebuildMetaOrder(ChunkMeta &meta)
-{
-    // Counting sort by group id, visiting channels in ascending index per
-    // group — stable by construction, so the compute order matches the
-    // stable_sort definition exactly (the Index Buffer stream order).
-    const int d = meta.channels();
-    const int g_count = meta.groups();
-    meta.order.resize(size_t(d));
-    meta.groupStart.assign(size_t(g_count) + 1, 0);
-    for (int c = 0; c < d; ++c)
-        ++meta.groupStart[size_t(meta.group[size_t(c)]) + 1];
-    for (int g = 0; g < g_count; ++g)
-        meta.groupStart[size_t(g) + 1] += meta.groupStart[size_t(g)];
-    std::vector<int> cursor(meta.groupStart.begin(),
-                            meta.groupStart.end() - 1);
-    for (int c = 0; c < d; ++c)
-        meta.order[size_t(cursor[size_t(meta.group[size_t(c)])]++)] = c;
-    TENDER_CHECK(meta.groupStart.back() == d);
-}
-
-float
-envelopeTmax(const float *minv, const float *maxv, int channels,
-             const TenderConfig &config)
-{
-    float tmax = 0.f;
-    for (int c = 0; c < channels; ++c)
-        tmax = std::max(tmax, config.biasSubtract
-                                  ? envelopeCmax(minv[c], maxv[c])
-                                  : envelopeAbsMax(minv[c], maxv[c]));
-    return tmax;
 }
 
 void

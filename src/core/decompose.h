@@ -66,17 +66,9 @@ ChunkMeta buildChunkMeta(const ChannelStats &stats,
                          const TenderConfig &config);
 
 /**
- * Recompute meta.order / meta.groupStart from meta.group (counting sort,
- * stable in channel order — identical to the stable_sort it replaces).
- * Used by buildChunkMeta and by the KV cache's incremental runtime
- * requantization after it reclassifies individual channels in place.
- */
-void rebuildMetaOrder(ChunkMeta &meta);
-
-/**
- * Allocation-free variant for the decode runtime's per-step open-chunk
- * requantization: rebuild `meta` in place (vector capacity reused) from
- * per-channel min/max envelopes. Bit-identical to
+ * Allocation-light variant for the decode runtime's KV chunk freeze:
+ * rebuild `meta` in place (vector capacity reused) from per-channel
+ * min/max envelopes. Bit-identical to
  * buildChunkMeta(statsFromMinMax(minv, maxv), config) — asserted in
  * tests/test_fused_attention.cc — but without the per-call stats and
  * metadata allocations, which otherwise serialize the scheduler's
@@ -85,12 +77,6 @@ void rebuildMetaOrder(ChunkMeta &meta);
 void buildChunkMetaInto(ChunkMeta &meta, const float *minv,
                         const float *maxv, int channels,
                         const TenderConfig &config);
-
-/** Effective TMax over channel envelopes, exactly as buildChunkMeta
- *  computes it for either bias mode (the KV cache compares this across
- *  appends to decide whether group scales moved). */
-float envelopeTmax(const float *minv, const float *maxv, int channels,
-                   const TenderConfig &config);
 
 /** Stats + metadata in one step for dynamic (uncalibrated) quantization. */
 ChunkMeta decomposeChunk(const Matrix &chunk, const TenderConfig &config);

@@ -36,10 +36,10 @@ dequantizeChunk(const QuantizedChunk &qc)
     Matrix out(qc.codes.rows(), qc.codes.cols());
     const int d = qc.codes.cols();
     // Same per-element arithmetic as the accessor-based loop, as a
-    // row-pointer walk with no scratch allocation: this runs once per
-    // store per decode step on the open chunk, concurrently across
-    // requests, so both the bounds checks and a per-call heap allocation
-    // are measurable.
+    // row-pointer walk with no scratch allocation: the KV cache's
+    // dequantize-on-read path runs it per frozen chunk, concurrently
+    // across requests, so both the bounds checks and a per-call heap
+    // allocation are measurable.
     const int *group = qc.meta.group.data();
     const float *scale = qc.meta.scale.data();
     const float *bias = qc.meta.bias.data();

@@ -233,7 +233,7 @@ BatchScheduler::tryAdmit(size_t index)
     // from the sum stamped when they were published/parked. A reject
     // releases the corrupt entry and this admission prefills cold —
     // recomputing the same rows, so tokens are unchanged (a resume just
-    // replays more).
+    // recomputes more).
     if (m.rows > 0 && !prefix_->verifyMatch(m)) {
         ++stats_.integrityFallbacks;
         m = PrefixMatch{};
@@ -278,28 +278,14 @@ BatchScheduler::tryAdmit(size_t index)
     } else if (prefix_) {
         ++stats_.prefixMisses;
     }
-    // Stage everything past the adopted prefix. A fresh request prefills
-    // its remaining prompt in one segment. A resume must reproduce the
-    // original run's *step grouping*: a row's attention dequantizes the
-    // open quantized chunk as scaled over the rows present at its own
-    // step's end, so the unparked prompt tail (originally one prefill
-    // segment) is staged as one segment, and every decoded row
-    // (originally one single-row step each) is queued on Active::replay
-    // to be re-fed one step at a time. Grouping them differently would
-    // change what the replayed rows' attention reads — and with it the
-    // deeper layers' K/V — breaking bit-exact resume in quantized mode.
-    const size_t prompt_len = req.promptTokens.size();
-    size_t first_end = effective.size();
-    std::deque<int> replay;
-    if (resume) {
-        first_end = size_t(m.rows) < prompt_len ? prompt_len
-                                                : size_t(m.rows) + 1;
-        replay.assign(effective.begin() + ptrdiff_t(first_end),
-                      effective.end());
-    }
-    const std::vector<int> first_segment(
-        effective.begin() + m.rows,
-        effective.begin() + ptrdiff_t(first_end));
+    // Everything past the adopted prefix is one prefill segment — for a
+    // resume too: what a row reads depends only on its position (the
+    // quantized-KV contract, runtime/kv_cache.h), so recomputing the
+    // unparked tail in one step reproduces the original run's rows bit
+    // for bit, and its last row, the newest generated token, yields the
+    // next token.
+    const std::vector<int> first_segment(effective.begin() + m.rows,
+                                         effective.end());
     if (resume) {
         pool_->noteUnpark(p.parkedBlocks);
         ++stats_.resumes;
@@ -313,8 +299,8 @@ BatchScheduler::tryAdmit(size_t index)
         p.request.speculation, options_.vocabSize, options_.vocabSeed);
     Active a{std::move(p.request), std::move(cache),
              vocab_.embedAll(first_segment), true, std::move(p.generated),
-             p.steps, p.preemptions, resume, std::move(replay),
-             std::move(drafter), {}, p.drafted, p.acceptedDrafts};
+             p.steps, p.preemptions, resume, std::move(drafter), {},
+             p.drafted, p.acceptedDrafts};
     pending_.erase(pending_.begin() + index);
     if (a.request.onAdmit)
         a.request.onAdmit();
@@ -397,21 +383,19 @@ bool
 BatchScheduler::preemptVictim()
 {
     // Victim choice: Batch priority only (Interactive never preempts
-    // Interactive), a token emitted since its latest admission, and under
-    // its anti-thrash bound. The emission rule covers three states: an
-    // unstarted prefill holds nothing worth parking (deferral already
-    // covers it); mid-way through a resume replay the cache does not yet
-    // hold the rows `generated` implies, so the park bookkeeping would be
-    // wrong; and once the last replay row is staged the request is still
-    // in its prefill cycle (ServeSession holds it in Prefill, which may
-    // not move to Preempted). Among candidates, the one holding the most
-    // KV blocks frees the most pool; ties go to the later admission (the
-    // earlier one is closer to finishing).
+    // Interactive), past its prefill step, and under its anti-thrash
+    // bound. A request still prefilling (fresh or resumed) holds nothing
+    // worth parking beyond what deferral already covers, and ServeSession
+    // holds it in Prefill, which may not move to Preempted; its prefill
+    // step reads out its first token, so from then on it is Decoding.
+    // Among candidates, the one holding the most KV blocks frees the most
+    // pool; ties go to the later admission (the earlier one is closer to
+    // finishing).
     size_t victim = active_.size();
     size_t victim_blocks = 0;
     for (size_t i = 0; i < active_.size(); ++i) {
         const Active &a = active_[i];
-        if (a.request.priority != Priority::Batch || !a.emittedSinceAdmit ||
+        if (a.request.priority != Priority::Batch || a.prefilling ||
             a.preemptions >= options_.maxPreemptions)
             continue;
         const size_t blocks = a.cache.blocksInUse();
@@ -489,8 +473,7 @@ BatchScheduler::step()
         for (int r = 0; r < t; ++r)
             std::copy(a.nextInput.rowPtr(r), a.nextInput.rowPtr(r) + d,
                       x.rowPtr(row + r));
-        segments.push_back(
-            {&a.cache, row, t, a.cache.length(), !a.pendingDraft.empty()});
+        segments.push_back({&a.cache, row, t, a.cache.length()});
         row += t;
         if (a.prefilling)
             stats_.prefillRows += t;
@@ -532,17 +515,6 @@ BatchScheduler::step()
             ++stats_.failed;
             continue;
         }
-        if (!a.replay.empty()) {
-            // Resume catch-up: this step rebuilt KV rows whose token is
-            // already in `generated`, so nothing is read out and no
-            // retirement check runs — the next original single-row step
-            // is simply re-staged until the replay reaches the live row.
-            a.nextInput = vocab_.embed(a.replay.front());
-            a.replay.pop_front();
-            a.prefilling = false;
-            still_active.push_back(std::move(a));
-            continue;
-        }
         const DecodeSegment &seg = segments[i];
         // Speculative verify (docs/speculation.md): when drafts were
         // stacked into this step, the segment's rows are [last emitted
@@ -582,7 +554,6 @@ BatchScheduler::step()
                     << " decode hook returned out-of-vocab token "
                     << token);
                 a.generated.push_back(token);
-                a.emittedSinceAdmit = true;
                 if (v == 0)
                     ++a.steps;
                 ++stats_.decodedTokens;

@@ -60,27 +60,24 @@
  * pool pressure — the scheduler may freeze a running Batch request
  * instead of making the Interactive one wait out a long decode. The
  * victim's computed KV rows are already immutable pages (fp32 blocks, or
- * frozen quantized chunks; the open staging chunk is simply replayed on
- * resume, because sealing a short chunk would move chunk boundaries and
- * change numerics), so freezing is publishing them through the existing
+ * frozen quantized chunks; the open chunk is simply recomputed on resume,
+ * because sealing a short chunk would move chunk boundaries and change
+ * numerics), so freezing is publishing them through the existing
  * PrefixCache::insert / share() machinery, releasing the victim's blocks
  * and undrawn reservation, and re-queueing it at the FIFO head in a
  * Preempted state. Resume is ordinary re-admission: the effective prompt
  * is the original prompt plus every token generated so far, the parked
- * prefix is adopted via KVCache::adoptPrefix, and only the rows past the
- * last complete parked block are recomputed — the unparked prompt tail
- * as one prefill segment and each decoded row as its own single-row
- * step, reproducing the original run's step grouping exactly (a row's
- * attention reads the open quantized chunk as scaled over the rows
- * present at its own step's end, so a different grouping would read
- * different values). Because shared pages read bit-identically and every
- * per-request computation is row-local, a preempted-and-resumed request
- * generates exactly the tokens it would have uninterrupted
- * (tests/test_preemption.cc; preempt_resume_bitexact in
- * BENCH_decode.json). Victims are chosen lowest-priority first, most
- * blocks held among those, and each request is preempted at most
- * maxPreemptions times (anti-thrash); parked blocks are tracked in
- * BlockPoolStats::parkedBlocks.
+ * prefix is adopted via KVCache::adoptPrefix, and the rows past the last
+ * complete parked block are recomputed as one prefill segment whose last
+ * row reads out the next token. What a row computes depends only on its
+ * position, never on which rows shared its step (the quantized-KV
+ * contract of runtime/kv_cache.h), and shared pages read bit-identically,
+ * so a preempted-and-resumed request generates exactly the tokens it
+ * would have uninterrupted (tests/test_preemption.cc;
+ * preempt_resume_bitexact in BENCH_decode.json). Victims are chosen
+ * lowest-priority first, most blocks held among those, and each request
+ * is preempted at most maxPreemptions times (anti-thrash); parked blocks
+ * are tracked in BlockPoolStats::parkedBlocks.
  */
 
 #ifndef TENDER_RUNTIME_BATCH_SCHEDULER_H
@@ -280,7 +277,7 @@ struct SchedulerStats
     int64_t acceptedDraftTokens = 0;
     /** Steps where a speculating request fell back to a plain single-row
      *  step (drafter proposed nothing, draft budget exhausted, or the
-     *  quantized open-chunk cap left no room). */
+     *  quantized chunk-boundary cap left no room). */
     int64_t specFallbackSteps = 0;
 };
 
@@ -361,13 +358,6 @@ class BatchScheduler
         int steps = 0;
         int preemptions = 0;  ///< carried across freeze/resume cycles
         bool resumed = false; ///< admitted with pre-generated tokens
-        /** Resume catch-up: decoded tokens still to be re-fed one
-         *  single-row step each (their tokens are already in `generated`,
-         *  so these steps read nothing out). Replay must reproduce the
-         *  original run's step grouping because a row's attention reads
-         *  the open quantized chunk as scaled over the rows present at
-         *  its own step's end — see tryAdmit. */
-        std::deque<int> replay;
         /** Draft proposer (null = not speculating). Rebuilt fresh at
          *  every (re-)admission: drafts are a pure function of the token
          *  sequence, so a resume proposes exactly what the uninterrupted
@@ -378,10 +368,6 @@ class BatchScheduler
         std::vector<int> pendingDraft;
         int64_t drafted = 0;        ///< draft rows fed so far (metrics)
         int64_t acceptedDrafts = 0; ///< drafts accepted so far (metrics)
-        /** A token was read out since the latest (re-)admission: until
-         *  then a resumed request is still in its prefill cycle, replay
-         *  rows included, so it is no preemption victim. */
-        bool emittedSinceAdmit = false;
     };
 
     const KernelContext &kernels() const;
@@ -391,9 +377,9 @@ class BatchScheduler
      *  moves from pending_ to active_. */
     bool tryAdmit(size_t index);
 
-    /** Freeze the best preemption victim (Batch-priority, a token emitted
-     *  since its latest admission, under its maxPreemptions bound; most
-     *  blocks held among those):
+    /** Freeze the best preemption victim (Batch-priority, past its
+     *  prefill step, under its maxPreemptions bound; most blocks held
+     *  among those):
      *  park its computed rows in the prefix cache, release its blocks and
      *  undrawn reservation, and re-queue it at the FIFO head. Returns
      *  false when no active request is preemptible. */

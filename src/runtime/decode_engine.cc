@@ -190,16 +190,16 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
         k0 += rows;
     }
     TENDER_CHECK(k0 == keys.frozenRows);
-    // Open chunk: exact fp dot against the dequantized staging view (the
+    // The reader's own chunk: exact fp dot against its fp32 rows (the
     // newest tokens see no query quantization error, matching the
     // dequantize path bit for bit on this tail).
     const int open = len - keys.frozenRows;
-    TENDER_CHECK(keys.openDeq.rows() == open);
+    TENDER_CHECK(open == 0 || (keys.open && values.open));
     for (int r = 0; r < qrows; ++r) {
         const float *qrow = q.rowPtr(r);
         float *srow = scores.rowPtr(r) + keys.frozenRows;
         for (int j = 0; j < open; ++j) {
-            const float *krow = keys.openDeq.rowPtr(j);
+            const float *krow = keys.open + size_t(j) * size_t(dh);
             double dot = 0.0;
             for (int c = 0; c < dh; ++c)
                 dot += double(qrow[c]) * double(krow[c]);
@@ -296,9 +296,9 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
     for (int r = 0; r < qrows; ++r) {
         const float *prow = probs.rowPtr(r) + v0;
         double *arow = acc.data() + size_t(r) * size_t(dh);
-        for (int j = 0; j < values.openDeq.rows(); ++j) {
+        for (int j = 0; j < open; ++j) {
             const double w = double(prow[j]);
-            const float *vrow = values.openDeq.rowPtr(j);
+            const float *vrow = values.open + size_t(j) * size_t(dh);
             for (int c = 0; c < dh; ++c)
                 arow[c] += w * double(vrow[c]);
         }
@@ -362,37 +362,58 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
     ln1 = Matrix();
     timer.accumulate(&DecodePhaseTimes::projectionsUs);
 
-    // Speculative verification segments over a quantized cache must
-    // replay single-row *step grouping* — row r's attention reads the
-    // open chunk requantized over the rows present at its own step's end
-    // — so they are excluded from the bulk append/history/attention
-    // fan-outs below and handled row by row afterwards. Fp32 caches are
-    // grouping-invariant, so speculative fp32 segments keep the bulk
-    // path.
-    const auto rowSequential = [](const DecodeSegment &seg) {
-        return seg.speculative &&
-            seg.cache->config().mode == KVCacheMode::TenderQuantized;
-    };
-
-    // Per-segment K/V appends (requantization in quantized caches) are
-    // independent — each task touches only its own cache.
+    // Per-segment K/V appends (a quantized cache freezes each chunk its
+    // rows complete) are independent — each task touches only its own
+    // cache.
     kc.parallelFor(0, int64_t(segments.size()), 1,
                    [&](int64_t s0, int64_t s1) {
         for (int64_t si = s0; si < s1; ++si) {
             const DecodeSegment &seg = segments[size_t(si)];
-            if (rowSequential(seg))
-                continue;
             seg.cache->appendRows(layer, xk, xv, seg.row0, seg.rows);
         }
     });
     timer.accumulate(&DecodePhaseTimes::appendUs);
 
-    // Gather each (segment, kv-head) history exactly once — under
+    // Attention bands. Under the quantized-KV contract (runtime/
+    // kv_cache.h) a query reads the chunks before its own as frozen codes
+    // and its own chunk's rows in fp32, so a quantized segment's query
+    // rows split at chunk boundaries into bands, each reading one history
+    // [0, band end) — which also skips the masked columns past the band.
+    // An fp32 history reads the same for every query, so an fp32 segment
+    // is one band.
+    struct Band
+    {
+        size_t seg; ///< owning segment
+        int row0;   ///< first row in the stacked input
+        int rows;
+        int pos0;   ///< absolute position of the first row
+    };
+    std::vector<Band> bands;
+    std::vector<size_t> first_band(segments.size() + 1);
+    for (size_t si = 0; si < segments.size(); ++si) {
+        first_band[si] = bands.size();
+        const DecodeSegment &seg = segments[si];
+        const KVCacheConfig &cc = seg.cache->config();
+        const bool quantized = cc.mode == KVCacheMode::TenderQuantized;
+        for (int r = 0; r < seg.rows;) {
+            const int pos = seg.pos0 + r;
+            const int n = quantized
+                ? std::min(seg.rows - r,
+                           cc.tender.rowChunk - pos % cc.tender.rowChunk)
+                : seg.rows;
+            bands.push_back({si, seg.row0 + r, n, pos});
+            r += n;
+        }
+    }
+    first_band[segments.size()] = bands.size();
+
+    // Gather each (band, kv-head) history exactly once — under
     // grouped-query attention several query heads share a kv head. On the
     // fused path a quantized history is a zero-copy chunk-code view into
-    // the pool pages (plus the small dequantized open chunk); otherwise it
-    // is fully materialized (a dequantize pass, frozen chunks memoized by
-    // the cache).
+    // the pool pages and the cache's fp32 staging; otherwise it is fully
+    // materialized (a dequantize pass, frozen chunks memoized by the
+    // cache). A task covers one (segment, kv-head) and walks its bands, so
+    // no store's memo is materialized concurrently.
     //
     // Failure containment: a cache whose append faulted this step (see
     // KVCache::appendRows) may hold stores of uneven length, so its
@@ -409,31 +430,35 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
         KVCodeView kCodes, vCodes; ///< fused path
         bool fused = false;
     };
-    std::vector<HeadHistory> hist(segments.size() * size_t(kv_heads));
+    std::vector<HeadHistory> hist(bands.size() * size_t(kv_heads));
     kc.parallelFor(0, int64_t(segments.size()) * int64_t(kv_heads), 1,
                    [&](int64_t t0, int64_t t1) {
         for (int64_t t = t0; t < t1; ++t) {
-            const DecodeSegment &seg =
-                segments[size_t(t) / size_t(kv_heads)];
+            const size_t si = size_t(t) / size_t(kv_heads);
+            const DecodeSegment &seg = segments[si];
             const int kvh = int(t % int64_t(kv_heads));
-            if (seg.cache->failed() || rowSequential(seg))
+            if (seg.cache->failed())
                 continue;
-            HeadHistory &hh = hist[size_t(t)];
-            if (step.fusedQuantKv &&
-                seg.cache->config().mode == KVCacheMode::TenderQuantized) {
-                hh.kCodes = seg.cache->keyView(layer, kvh);
-                hh.vCodes = seg.cache->valueView(layer, kvh);
-                hh.fused = true;
-            } else {
-                hh.k = seg.cache->keys(layer, kvh);
-                hh.v = seg.cache->values(layer, kvh);
+            const bool fused = step.fusedQuantKv &&
+                seg.cache->config().mode == KVCacheMode::TenderQuantized;
+            for (size_t b = first_band[si]; b < first_band[si + 1]; ++b) {
+                const int last = bands[b].pos0 + bands[b].rows - 1;
+                HeadHistory &hh = hist[b * size_t(kv_heads) + size_t(kvh)];
+                hh.fused = fused;
+                if (fused) {
+                    hh.kCodes = seg.cache->keyView(layer, kvh, last);
+                    hh.vCodes = seg.cache->valueView(layer, kvh, last);
+                } else {
+                    hh.k = seg.cache->keys(layer, kvh, last);
+                    hh.v = seg.cache->values(layer, kvh, last);
+                }
             }
         }
     });
     timer.accumulate(&DecodePhaseTimes::historyUs);
 
     // Attention stays per request (distinct KV histories). With MQ panels
-    // on (the default), the fan-out is per (segment, kv-head): the
+    // on (the default), the fan-out is per (band, kv-head): the
     // nHeads/kvHeads query heads sharing a kv head run as one stacked
     // panel call, so each frozen chunk is read (and its per-chunk
     // fold/scale work paid) once per kv head instead of once per query
@@ -443,155 +468,71 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
     Matrix attn(x.rows(), config.dModel);
     if (step.mqAttentionPanels) {
         const int group = config.nHeads / kv_heads;
-        kc.parallelFor(0, int64_t(segments.size()) * int64_t(kv_heads), 1,
+        kc.parallelFor(0, int64_t(bands.size()) * int64_t(kv_heads), 1,
                        [&](int64_t t0, int64_t t1) {
             for (int64_t t = t0; t < t1; ++t) {
-                const size_t si = size_t(t) / size_t(kv_heads);
-                const DecodeSegment &seg = segments[si];
-                const int kvh = int(t % int64_t(kv_heads));
-                if (seg.cache->failed() || rowSequential(seg))
+                const Band &band = bands[size_t(t) / size_t(kv_heads)];
+                if (segments[band.seg].cache->failed())
                     continue;
-                const HeadHistory &hh =
-                    hist[si * size_t(kv_heads) + size_t(kvh)];
+                const int kvh = int(t % int64_t(kv_heads));
+                const HeadHistory &hh = hist[size_t(t)];
                 // Head-major query panel: rows [g*rows, (g+1)*rows) hold
                 // query head kvh*group+g's new-token queries.
-                Matrix qp(group * seg.rows, dh);
+                Matrix qp(group * band.rows, dh);
                 for (int g = 0; g < group; ++g) {
                     const int h = kvh * group + g;
-                    for (int r = 0; r < seg.rows; ++r) {
+                    for (int r = 0; r < band.rows; ++r) {
                         const float *src =
-                            xq.rowPtr(seg.row0 + r) + h * dh;
+                            xq.rowPtr(band.row0 + r) + h * dh;
                         std::copy(src, src + dh,
-                                  qp.rowPtr(g * seg.rows + r));
+                                  qp.rowPtr(g * band.rows + r));
                     }
                 }
                 const Matrix out = hh.fused
                     ? attentionFusedQuantPanel(qp, group, hh.kCodes,
-                                               hh.vCodes, seg.pos0, kc)
+                                               hh.vCodes, band.pos0, kc)
                     : attentionPanelIncremental(qp, group, hh.k, hh.v,
-                                                seg.pos0, kc);
+                                                band.pos0, kc);
                 for (int g = 0; g < group; ++g) {
                     const int h = kvh * group + g;
-                    for (int r = 0; r < seg.rows; ++r)
+                    for (int r = 0; r < band.rows; ++r)
                         for (int c = 0; c < dh; ++c)
-                            attn(seg.row0 + r, h * dh + c) =
-                                out(g * seg.rows + r, c);
+                            attn(band.row0 + r, h * dh + c) =
+                                out(g * band.rows + r, c);
                 }
             }
         });
     } else {
-        kc.parallelFor(0,
-                       int64_t(segments.size()) * int64_t(config.nHeads), 1,
+        kc.parallelFor(0, int64_t(bands.size()) * int64_t(config.nHeads), 1,
                        [&](int64_t t0, int64_t t1) {
             for (int64_t t = t0; t < t1; ++t) {
-                const size_t si = size_t(t) / size_t(config.nHeads);
-                const DecodeSegment &seg = segments[si];
-                if (seg.cache->failed() || rowSequential(seg))
+                const size_t bi = size_t(t) / size_t(config.nHeads);
+                const Band &band = bands[bi];
+                if (segments[band.seg].cache->failed())
                     continue;
                 const int h = int(t % int64_t(config.nHeads));
                 const int kvh = kvHeadOf(h, config.nHeads, config.kvHeads);
                 const HeadHistory &hh =
-                    hist[si * size_t(kv_heads) + size_t(kvh)];
+                    hist[bi * size_t(kv_heads) + size_t(kvh)];
                 const Matrix qh = headSlice(
-                    xq.rowSlice(seg.row0, seg.row0 + seg.rows), h, dh);
+                    xq.rowSlice(band.row0, band.row0 + band.rows), h, dh);
                 const Matrix out = hh.fused
                     ? attentionHeadFusedQuant(qh, hh.kCodes, hh.vCodes,
-                                              seg.pos0, kc)
-                    : attentionHeadIncremental(qh, hh.k, hh.v, seg.pos0,
+                                              band.pos0, kc)
+                    : attentionHeadIncremental(qh, hh.k, hh.v, band.pos0,
                                                &kc);
                 for (int r = 0; r < out.rows(); ++r)
                     for (int c = 0; c < dh; ++c)
-                        attn(seg.row0 + r, h * dh + c) = out(r, c);
+                        attn(band.row0 + r, h * dh + c) = out(r, c);
             }
         });
     }
     hist.clear();
+    // The staged rows of chunks this step froze have been read for the
+    // last time; drop them (a prefill's buffer shrinks back to one chunk).
+    for (const DecodeSegment &seg : segments)
+        seg.cache->trimStaging(layer);
     timer.accumulate(&DecodePhaseTimes::attentionUs);
-
-    // Row-sequential handling of speculative quantized segments: append
-    // row r, gather its histories, run its attention — then move to row
-    // r+1. That interleave is exactly the arithmetic of the plain
-    // single-row steps the verification must match bit for bit: the open
-    // chunk row r's attention reads is requantized over rows <= r, never
-    // over later draft rows. Only append/history/attention go row by
-    // row; the projections above already covered these rows (row-local,
-    // so batching them is exact). The inner fan-outs parallelize across
-    // kv heads with disjoint output tiles, preserving worker-count
-    // bit-reproducibility.
-    for (const DecodeSegment &seg : segments) {
-        if (!rowSequential(seg))
-            continue;
-        const int group = config.nHeads / kv_heads;
-        for (int r = 0; r < seg.rows && !seg.cache->failed(); ++r) {
-            timer.mark();
-            seg.cache->appendRows(layer, xk, xv, seg.row0 + r, 1);
-            timer.accumulate(&DecodePhaseTimes::appendUs);
-            if (seg.cache->failed())
-                break; // containment: same skip as the bulk fan-outs
-            const int pos = seg.pos0 + r;
-            std::vector<HeadHistory> rh(static_cast<size_t>(kv_heads));
-            kc.parallelFor(0, int64_t(kv_heads), 1,
-                           [&](int64_t h0, int64_t h1) {
-                for (int64_t kvh = h0; kvh < h1; ++kvh) {
-                    HeadHistory &hh = rh[size_t(kvh)];
-                    if (step.fusedQuantKv) {
-                        hh.kCodes = seg.cache->keyView(layer, int(kvh));
-                        hh.vCodes = seg.cache->valueView(layer, int(kvh));
-                        hh.fused = true;
-                    } else {
-                        hh.k = seg.cache->keys(layer, int(kvh));
-                        hh.v = seg.cache->values(layer, int(kvh));
-                    }
-                }
-            });
-            timer.accumulate(&DecodePhaseTimes::historyUs);
-            if (step.mqAttentionPanels) {
-                kc.parallelFor(0, int64_t(kv_heads), 1,
-                               [&](int64_t h0, int64_t h1) {
-                    for (int64_t t = h0; t < h1; ++t) {
-                        const int kvh = int(t);
-                        const HeadHistory &hh = rh[size_t(kvh)];
-                        Matrix qp(group, dh);
-                        for (int g = 0; g < group; ++g) {
-                            const float *src = xq.rowPtr(seg.row0 + r) +
-                                (kvh * group + g) * dh;
-                            std::copy(src, src + dh, qp.rowPtr(g));
-                        }
-                        const Matrix out = hh.fused
-                            ? attentionFusedQuantPanel(qp, group, hh.kCodes,
-                                                       hh.vCodes, pos, kc)
-                            : attentionPanelIncremental(qp, group, hh.k,
-                                                        hh.v, pos, kc);
-                        for (int g = 0; g < group; ++g)
-                            for (int c = 0; c < dh; ++c)
-                                attn(seg.row0 + r,
-                                     (kvh * group + g) * dh + c) = out(g, c);
-                    }
-                });
-            } else {
-                kc.parallelFor(0, int64_t(config.nHeads), 1,
-                               [&](int64_t h0, int64_t h1) {
-                    for (int64_t t = h0; t < h1; ++t) {
-                        const int h = int(t);
-                        const int kvh =
-                            kvHeadOf(h, config.nHeads, config.kvHeads);
-                        const HeadHistory &hh = rh[size_t(kvh)];
-                        const Matrix qh = headSlice(
-                            xq.rowSlice(seg.row0 + r, seg.row0 + r + 1), h,
-                            dh);
-                        const Matrix out = hh.fused
-                            ? attentionHeadFusedQuant(qh, hh.kCodes,
-                                                      hh.vCodes, pos, kc)
-                            : attentionHeadIncremental(qh, hh.k, hh.v, pos,
-                                                       &kc);
-                        for (int c = 0; c < dh; ++c)
-                            attn(seg.row0 + r, h * dh + c) = out(0, c);
-                    }
-                });
-            }
-            timer.accumulate(&DecodePhaseTimes::attentionUs);
-        }
-    }
 
     xq = Matrix();
     xk = Matrix();

@@ -7,13 +7,16 @@
  * belonging to one request's cache. Fp32 QKV/O/FFN projections run as
  * single GEMMs over the stacked rows (they are row-local, so batching
  * changes nothing numerically), K/V rows are appended to each segment's
- * cache, and attention runs per (segment, head) with
+ * cache, and attention runs per (band, head) with
  * attentionHeadIncremental over the materialized history — each read
  * walks that segment's block table in the shared BlockAllocator pool
  * (runtime/kv_cache.h), gathering pages in logical-row order so paging
  * never perturbs the numerics — parallelized across the KernelContext's
  * thread pool with disjoint output writes, so results are bit-identical
- * for any worker count.
+ * for any worker count. A band is a segment's rows that read one history:
+ * an fp32 segment is one band, a quantized one splits at KV row-chunk
+ * boundaries, because a query reads its own chunk in fp32 and earlier
+ * chunks as frozen codes (the quantized-KV contract of kv_cache.h).
  * With DecodeOptions::fusedQuantKv, quantized-cache segments instead run
  * attentionHeadFusedQuant directly on the KV chunk codes (KVCodeView),
  * skipping the fp32 materialization entirely — the MSA-style dataflow the
@@ -24,7 +27,8 @@
  * prompt in a single step, step() extends it. With an Fp32 cache the
  * hidden states are bit-identical to modelForward over the concatenated
  * input; with a TenderQuantized cache they carry exactly the cache's
- * storage error.
+ * storage error, and any split of the sequence into prefill and steps
+ * yields the same bits as one prefill.
  *
  * An optional GemmScheme runs the six weight GEMMs instead (the executor's
  * "quantized stream"), so Tender itself serves the projections. The
@@ -64,16 +68,6 @@ struct DecodeSegment
     int row0 = 0; ///< first row of this segment in the stacked input
     int rows = 0; ///< new tokens this step (prompt length at admission)
     int pos0 = 0; ///< absolute position of the first new token
-    /** Speculative verification step (docs/speculation.md): the rows are
-     *  a last-emitted token plus stacked draft tokens whose logits must
-     *  equal plain single-row decode bit for bit. For a TenderQuantized
-     *  cache that means replaying single-row *step grouping* — a row's
-     *  attention reads the open chunk requantized over the rows present
-     *  at its own step's end — so decodeBlockForward appends and attends
-     *  such a segment one row at a time (projections stay batched; they
-     *  are row-local). Fp32 caches are grouping-invariant, so the flag
-     *  changes nothing for them. */
-    bool speculative = false;
 };
 
 /**
@@ -86,9 +80,9 @@ struct DecodeSegment
 struct DecodePhaseTimes
 {
     double projectionsUs = 0.0; ///< QKV/O/FFN GEMMs + norms/activations
-    double appendUs = 0.0;      ///< K/V appends incl. runtime requant
+    double appendUs = 0.0;      ///< K/V appends incl. chunk freezes
     double historyUs = 0.0;     ///< history materialization / view building
-    double attentionUs = 0.0;   ///< per-(segment, head) attention
+    double attentionUs = 0.0;   ///< per-(band, head) attention + trim
     int64_t steps = 0;          ///< decodeStep calls accumulated
 };
 
@@ -182,15 +176,18 @@ Matrix decodeStep(SyntheticModel &model, const Matrix &x,
  *
  * `q` stacks the heads head-major: rows [h*t, (h+1)*t) (t = q.rows() /
  * heads) are head h's new-token queries at absolute positions pos0 ..
- * pos0+t-1. The query rows are quantized once (per-row symmetric, the
- * chunks' code width); each frozen key chunk is processed as ONE gemmInt8
- * panel over all heads*t rows with the cross-group alpha-rescale folded
- * into the query codes — integer exactness makes the shifted-code dot
- * product identical to the MSA shift-accumulate discipline of
- * core/msa_functional, and the per-chunk fold/scale work is paid once per
- * kv head instead of once per query head — and the int32 partial scores
- * are requantized across chunks through each chunk's scale table
- * (score = acc * qscale * s_last + q·bias). The open chunk and the
+ * pos0+t-1, all inside one row chunk: `keys`/`values` are the history
+ * as those queries read it (KVCache::keyView at the band's last
+ * position), so their rows end at pos0+t. The query rows are quantized
+ * once (per-row symmetric, the chunks' code width); each frozen key chunk
+ * is processed as ONE gemmInt8 panel over all heads*t rows with the
+ * cross-group alpha-rescale folded into the query codes — integer
+ * exactness makes the shifted-code dot product identical to the MSA
+ * shift-accumulate discipline of core/msa_functional, and the per-chunk
+ * fold/scale work is paid once per kv head instead of once per query
+ * head — and the int32 partial scores are requantized across chunks
+ * through each chunk's scale table (score = acc * qscale * s_last +
+ * q·bias). The queries' own chunk (the view's fp32 `open` rows) and the
  * softmax run in fp32 (the causal limit of panel row r is that of new
  * token r % t), then probs*V walks the V chunk codes chunk-outermost with
  * the per-chunk dequantization folded into the double accumulate.

@@ -1,7 +1,6 @@
 #include "runtime/kv_cache.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "core/decompose.h"
@@ -11,21 +10,18 @@ namespace tender {
 
 namespace {
 
-/** Quantize rows [r0, r1) of the staged fp32 panel into slot.codes (same
- *  per-element arithmetic as quantizeChunk; the slot must already be
- *  sized and carry its metadata). Allocation-free: per-store appends run
- *  concurrently across requests, and per-call heap traffic serializes
- *  them on the allocator lock. */
+/** Quantize `rows` fp32 rows into slot.codes (same per-element
+ *  arithmetic as quantizeChunk; the slot must already be sized and carry
+ *  its metadata). */
 void
-quantizeRowsInto(QuantizedChunk &slot, const float *staging, int r0, int r1,
-                 int dh, int bits)
+quantizeRowsInto(QuantizedChunk &slot, const float *src, int rows, int dh,
+                 int bits)
 {
     const ChunkMeta &meta = slot.meta;
     const int *group = meta.group.data();
     const float *scale = meta.scale.data();
     const float *bias = meta.bias.data();
-    for (int r = r0; r < r1; ++r) {
-        const float *src = staging + size_t(r) * size_t(dh);
+    for (int r = 0; r < rows; ++r, src += dh) {
         int32_t *dst = slot.codes.rowPtr(r);
         for (int c = 0; c < dh; ++c)
             dst[c] = quantizeValue(src[c] - bias[c], scale[group[c]],
@@ -33,8 +29,8 @@ quantizeRowsInto(QuantizedChunk &slot, const float *staging, int r0, int r1,
     }
 }
 
-/** Size the slot's code matrix in place (capacity reused, so per-step
- *  open-chunk rewrites stop reallocating). */
+/** Size the slot's code matrix in place (capacity reused, so a recycled
+ *  page's slot is refilled without reallocating). */
 void
 sizeSlotCodes(QuantizedChunk &slot, int rows, int dh)
 {
@@ -194,11 +190,6 @@ KVCache::releaseAll()
         s.deqFrozen.clear();
         s.deqFrozen.shrink_to_fit();
         s.deqFrozenRows = 0;
-        s.openMin.clear();
-        s.openMax.clear();
-        s.openChanged.clear();
-        s.openTmax = 0.f;
-        s.openSlotRows = 0;
         s.sharedTailBlock = -1;
     }
     if (reservedRemaining_ > 0) {
@@ -314,153 +305,105 @@ KVCache::appendStore(Store &store, const Matrix &rows, int row0, int row1,
         return;
     }
 
-    // TenderQuantized: stage the new rows, freezing full chunks into their
-    // pool slots as they complete. Chunk boundaries depend only on the
-    // store's own row count — never on paging or batching. Per-channel
-    // min/max envelopes are maintained incrementally alongside the staging
-    // rows; they are exact (min/max is order-independent), so the derived
-    // decomposition equals a full rescan bit for bit while costing O(dh)
-    // per appended row instead of O(rows * dh) per step.
+    // TenderQuantized: stage the new rows, freezing each chunk the moment
+    // its last row arrives. Chunk boundaries depend only on the store's
+    // own row count — never on paging or batching. The buffer holds at
+    // least one chunk, so single-row decode appends never reallocate, and
+    // a long prefill grows it once instead of row by row.
     const int row_chunk = config_.tender.rowChunk;
-    if (store.openMin.empty()) {
-        store.openMin.assign(size_t(dh),
-                             std::numeric_limits<float>::infinity());
-        store.openMax.assign(size_t(dh),
-                             -std::numeric_limits<float>::infinity());
-        store.openChanged.assign(size_t(dh), 0);
-    }
+    store.staging.reserve(
+        std::max(store.staging.size() + size_t(row1 - row0) * size_t(dh),
+                 size_t(row_chunk) * size_t(dh)));
     for (int r = row0; r < row1; ++r) {
         const float *src = rows.rowPtr(r) + c0;
         store.staging.insert(store.staging.end(), src, src + dh);
         ++store.rows;
-        for (int c = 0; c < dh; ++c) {
-            const float v = src[c];
-            if (v < store.openMin[size_t(c)]) {
-                store.openMin[size_t(c)] = v;
-                store.openChanged[size_t(c)] = 1;
-            }
-            if (v > store.openMax[size_t(c)]) {
-                store.openMax[size_t(c)] = v;
-                store.openChanged[size_t(c)] = 1;
-            }
-        }
-        if (int(store.staging.size()) == row_chunk * dh) {
-            // Freeze: the envelopes cover exactly this chunk's rows.
-            const int chunk = store.rows / row_chunk - 1;
-            ensureBlocks(store, chunk / chunksPerBlock_);
-            if (chunk / chunksPerBlock_ == store.sharedTailBlock)
-                cowTailBlock(store);
-            QuantizedChunk &slot = chunkSlotOf(store, chunk);
-            buildChunkMetaInto(slot.meta, store.openMin.data(),
-                               store.openMax.data(), dh, config_.tender);
-            slot.bits = config_.tender.bits;
-            sizeSlotCodes(slot, row_chunk, dh);
-            quantizeRowsInto(slot, store.staging.data(), 0, row_chunk, dh,
-                             config_.tender.bits);
-            store.staging.clear();
-            store.openMin.assign(size_t(dh),
-                                 std::numeric_limits<float>::infinity());
-            store.openMax.assign(size_t(dh),
-                                 -std::numeric_limits<float>::infinity());
-            std::fill(store.openChanged.begin(), store.openChanged.end(),
-                      uint8_t{0});
-            store.openTmax = 0.f;
-            store.openSlotRows = 0;
-        }
+        if (store.rows % row_chunk == 0)
+            freezeChunk(store, store.rows / row_chunk - 1);
     }
-    // Runtime requantization of the open chunk: its decomposition is
-    // recomputed over the rows present so far, so reads always see fully
-    // quantized storage (never the fp32 staging rows).
-    if (!store.staging.empty())
-        requantizeOpenChunk(store);
+}
+
+const float *
+KVCache::stagedRow(const Store &store, int row) const
+{
+    const int staged = int(store.staging.size()) / headDim_;
+    TENDER_CHECK_MSG(row >= store.rows - staged && row < store.rows,
+                     "KV row " << row << " is no longer staged (staging"
+                     " holds rows " << store.rows - staged << ".."
+                     << store.rows << ")");
+    return store.staging.data() +
+        size_t(row - (store.rows - staged)) * size_t(headDim_);
 }
 
 /**
- * Requantize the open chunk after an append, doing only the work the new
- * rows made necessary. The slot's metadata is a pure function of the
- * channel envelopes, so:
- *  - envelopes unchanged: metadata identical — quantize only the new rows
- *    and append their codes;
- *  - some channels moved but the effective TMax did not: group scales are
- *    unchanged; reclassify and requantize just the moved channels (plus
- *    the new rows) and rebuild the compute order;
- *  - TMax moved (or the slot is fresh): every scale changes — full
- *    redecompose + requantize, the original behavior.
- * Every path produces storage bit-identical to a from-scratch
- * requantization of the staged rows (asserted by
- * tests/test_fused_attention.cc KVCacheMemo).
+ * Decompose and quantize chunk `chunk` from its staged fp32 rows: exact
+ * per-channel min/max envelopes -> buildChunkMetaInto -> quantize, the
+ * one and only time the chunk's metadata is derived. Allocation-free
+ * after each thread's first freeze: per-store appends run concurrently
+ * across requests, and per-call heap traffic would serialize them on the
+ * allocator lock. The page is first touched here, so an open chunk holds
+ * no pool block until it freezes.
  */
 void
-KVCache::requantizeOpenChunk(Store &store)
+KVCache::freezeChunk(Store &store, int chunk)
 {
     const int dh = headDim_;
     const int row_chunk = config_.tender.rowChunk;
-    const int bits = config_.tender.bits;
-    const int staged = int(store.staging.size()) / dh;
-    const int chunk = store.rows / row_chunk;
+    const float *rows = stagedRow(store, chunk * row_chunk);
+    thread_local std::vector<float> minv, maxv;
+    minv.assign(size_t(dh), std::numeric_limits<float>::infinity());
+    maxv.assign(size_t(dh), -std::numeric_limits<float>::infinity());
+    for (int r = 0; r < row_chunk; ++r) {
+        const float *src = rows + size_t(r) * size_t(dh);
+        for (int c = 0; c < dh; ++c) {
+            minv[size_t(c)] = std::min(minv[size_t(c)], src[c]);
+            maxv[size_t(c)] = std::max(maxv[size_t(c)], src[c]);
+        }
+    }
     ensureBlocks(store, chunk / chunksPerBlock_);
-    // The open chunk's slot is rewritten in place on every append; if it
-    // lives in the adopted (still shared) tail block, fault it private
-    // first so consumers of the shared page never see the rewrite.
     if (chunk / chunksPerBlock_ == store.sharedTailBlock)
         cowTailBlock(store);
     QuantizedChunk &slot = chunkSlotOf(store, chunk);
+    buildChunkMetaInto(slot.meta, minv.data(), maxv.data(), dh,
+                       config_.tender);
+    slot.bits = config_.tender.bits;
+    sizeSlotCodes(slot, row_chunk, dh);
+    quantizeRowsInto(slot, rows, row_chunk, dh, config_.tender.bits);
+}
 
-    // Effective TMax as buildChunkMeta computes it for either bias mode
-    // (shared envelope helpers, so the paths cannot drift).
-    const float tmax = envelopeTmax(store.openMin.data(),
-                                    store.openMax.data(), dh,
-                                    config_.tender);
-
-    const int existing = store.openSlotRows;
-    if (existing == 0 || tmax != store.openTmax) {
-        buildChunkMetaInto(slot.meta, store.openMin.data(),
-                           store.openMax.data(), dh, config_.tender);
-        slot.bits = bits;
-        sizeSlotCodes(slot, staged, dh);
-        quantizeRowsInto(slot, store.staging.data(), 0, staged, dh, bits);
-    } else {
-        ChunkMeta &meta = slot.meta;
-        bool reclassified = false;
-        for (int c = 0; c < dh; ++c) {
-            if (!store.openChanged[size_t(c)])
+void
+KVCache::trimStaging(int layer)
+{
+    if (config_.mode != KVCacheMode::TenderQuantized)
+        return;
+    const int row_chunk = config_.tender.rowChunk;
+    const size_t chunk_floats = size_t(row_chunk) * size_t(headDim_);
+    for (int h = 0; h < model_.kvHeads; ++h) {
+        for (const bool value : {false, true}) {
+            Store &store = storeOf(layer, h, value);
+            const size_t keep =
+                size_t(store.rows % row_chunk) * size_t(headDim_);
+            const size_t drop = store.staging.size() - keep;
+            if (drop == 0)
                 continue;
-            reclassified = true;
-            float cmax;
-            if (config_.tender.biasSubtract) {
-                meta.bias[size_t(c)] = envelopeBias(
-                    store.openMin[size_t(c)], store.openMax[size_t(c)]);
-                cmax = envelopeCmax(store.openMin[size_t(c)],
-                                    store.openMax[size_t(c)]);
-            } else {
-                cmax = envelopeAbsMax(store.openMin[size_t(c)],
-                                      store.openMax[size_t(c)]);
+            // A decode or verify step froze at most one chunk: erase in
+            // place, so the capacity carries over and the next steps'
+            // appends stay allocation-free. A step that froze several
+            // (a prefill) grew the buffer to its whole length; hand that
+            // back and keep one chunk's capacity.
+            if (drop <= chunk_floats) {
+                store.staging.erase(store.staging.begin(),
+                                    store.staging.begin() +
+                                        ptrdiff_t(drop));
+                continue;
             }
-            meta.group[size_t(c)] = classifyChannel(
-                cmax, tmax, config_.tender.alpha, config_.tender.numGroups);
+            std::vector<float> open;
+            open.reserve(chunk_floats);
+            open.assign(store.staging.end() - ptrdiff_t(keep),
+                        store.staging.end());
+            store.staging.swap(open);
         }
-        if (reclassified)
-            rebuildMetaOrder(meta);
-        sizeSlotCodes(slot, staged, dh);
-        // Moved channels: bias/scale changed, so their existing codes must
-        // be recomputed; untouched channels keep bit-identical codes.
-        for (int c = 0; c < dh; ++c) {
-            if (!store.openChanged[size_t(c)])
-                continue;
-            const float s = meta.scale[size_t(meta.group[size_t(c)])];
-            const float b = meta.bias[size_t(c)];
-            for (int r = 0; r < existing; ++r)
-                slot.codes.rowPtr(r)[c] = quantizeValue(
-                    store.staging[size_t(r) * size_t(dh) + size_t(c)] - b,
-                    s, bits);
-        }
-        quantizeRowsInto(slot, store.staging.data(), existing, staged, dh,
-                         bits);
     }
-    store.openTmax = tmax;
-    store.openSlotRows = staged;
-    std::fill(store.openChanged.begin(), store.openChanged.end(),
-              uint8_t{0});
 }
 
 void
@@ -479,7 +422,6 @@ KVCache::truncateRows(int n)
                          "truncateRows mid-step: layer " << l << " holds "
                          << layerLength_[l] << " rows, cache length is "
                          << length_);
-    const int dh = headDim_;
     if (config_.mode == KVCacheMode::TenderQuantized) {
         // Frozen chunks are never reopened: their codes may be published
         // to the prefix cache, COW-shared, or parked for a preempted
@@ -493,47 +435,16 @@ KVCache::truncateRows(int n)
                        " frozen chunks are never reopened");
     }
     for (Store &store : stores_) {
-        if (config_.mode == KVCacheMode::Fp32) {
-            // Pop the row count only. The rows' pages stay allocated to
-            // this cache: releasing them could hand them to a concurrent
-            // admission, and the re-append would then violate the
-            // reservation-gated "appends mid-decode never fail" contract.
-            // A later append overwrites the stale payload in place.
-            store.rows -= n;
-            continue;
-        }
-        const int surviving = int(store.staging.size()) / dh - n;
-        TENDER_CHECK(surviving >= 0);
-        store.staging.resize(size_t(surviving) * size_t(dh));
+        // Fp32: pop the row count only. The rows' pages stay allocated to
+        // this cache: releasing them could hand them to a concurrent
+        // admission, and the re-append would then violate the
+        // reservation-gated "appends mid-decode never fail" contract. A
+        // later append overwrites the stale payload in place. Quantized:
+        // the popped rows are open-chunk staging, nothing else saw them.
         store.rows -= n;
-        // Rebuild the per-channel envelopes over the survivors by rescan.
-        // Min/max is order-independent, so the rescan equals the
-        // incremental envelopes of a cache that never staged the popped
-        // rows — and the open slot's metadata is a pure function of the
-        // envelopes, so the full requantize below reproduces that cache's
-        // storage bit for bit.
-        store.openMin.assign(size_t(dh),
-                             std::numeric_limits<float>::infinity());
-        store.openMax.assign(size_t(dh),
-                             -std::numeric_limits<float>::infinity());
-        std::fill(store.openChanged.begin(), store.openChanged.end(),
-                  uint8_t{0});
-        for (int r = 0; r < surviving; ++r) {
-            const float *src = store.staging.data() + size_t(r) * size_t(dh);
-            for (int c = 0; c < dh; ++c) {
-                store.openMin[size_t(c)] =
-                    std::min(store.openMin[size_t(c)], src[c]);
-                store.openMax[size_t(c)] =
-                    std::max(store.openMax[size_t(c)], src[c]);
-            }
-        }
-        store.openTmax = 0.f;
-        store.openSlotRows = 0; // force the full-rebuild requantize path
-        if (surviving > 0)
-            requantizeOpenChunk(store);
-        // surviving == 0: the open slot's stale codes are unreachable
-        // (reads stop at the frozen rows) and the next append rebuilds
-        // the slot from fresh staging.
+        if (config_.mode == KVCacheMode::TenderQuantized)
+            store.staging.resize(store.staging.size() -
+                                 size_t(n) * size_t(headDim_));
     }
     for (size_t l = 0; l < layerLength_.size(); ++l)
         layerLength_[l] -= n;
@@ -578,12 +489,8 @@ KVCache::appendRowsImpl(int layer, const Matrix &k, const Matrix &v,
     TENDER_CHECK(v.cols() == model_.kvHeads * headDim_);
     // Either the first layer of a new step (advancing length) or a later
     // layer catching up to it; anything else is a double/missed append.
-    // Catch-up may be partial: a speculative verification step appends a
-    // lagging layer's rows one at a time (decode_engine.cc's row-
-    // sequential path), so a layer may trail length_ by more than t —
-    // but never overshoot it.
     TENDER_CHECK_MSG(layerLength_[size_t(layer)] == length_ ||
-                     layerLength_[size_t(layer)] + t <= length_,
+                     layerLength_[size_t(layer)] + t == length_,
                      "KVCache::append: layer " << layer
                      << " out of step (layer length "
                      << layerLength_[size_t(layer)] << ", cache length "
@@ -598,13 +505,16 @@ KVCache::appendRowsImpl(int layer, const Matrix &k, const Matrix &v,
 }
 
 Matrix
-KVCache::materialize(const Store &store) const
+KVCache::materialize(const Store &store, int pos) const
 {
-    Matrix out(store.rows, headDim_);
+    TENDER_CHECK(pos >= 0);
+    const int reader = std::min(pos, store.rows);
+    const int rows = std::min(reader + 1, store.rows);
+    Matrix out(rows, headDim_);
     if (config_.mode == KVCacheMode::Fp32) {
         // Walk the block table, bulk-copying each page's occupied rows.
-        for (int tok = 0; tok < store.rows; tok += blockTokens_) {
-            const int n = std::min(blockTokens_, store.rows - tok);
+        for (int tok = 0; tok < rows; tok += blockTokens_) {
+            const int n = std::min(blockTokens_, rows - tok);
             const float *src =
                 pool_->fp32Rows(store.blocks[size_t(tok / blockTokens_)]);
             std::copy(src, src + size_t(n) * size_t(headDim_),
@@ -613,78 +523,76 @@ KVCache::materialize(const Store &store) const
         return out;
     }
     // Frozen chunks are immutable for the store's lifetime, so their fp32
-    // panel is dequantized once and extended as chunks freeze; every read
-    // then re-dequantizes only the open chunk. Without the memo this
-    // fallback path re-dequantized the whole history each decode step.
+    // panel is dequantized once and extended as later reads reach further
+    // chunks. The reader's own chunk comes verbatim from staging.
     const int row_chunk = config_.tender.rowChunk;
-    const int frozen_rows = store.rows / row_chunk * row_chunk;
-    if (store.deqFrozenRows < frozen_rows) {
-        store.deqFrozen.resize(size_t(frozen_rows) * size_t(headDim_));
-        for (int c = store.deqFrozenRows / row_chunk;
-             c < frozen_rows / row_chunk; ++c) {
+    const int own = reader / row_chunk * row_chunk;
+    if (store.deqFrozenRows < own) {
+        store.deqFrozen.resize(size_t(own) * size_t(headDim_));
+        for (int c = store.deqFrozenRows / row_chunk; c < own / row_chunk;
+             ++c) {
             const Matrix deq = dequantizeChunk(chunkSlotOf(store, c));
             TENDER_CHECK(deq.rows() == row_chunk);
             std::copy(deq.data().begin(), deq.data().end(),
                       store.deqFrozen.begin() +
                           size_t(c) * size_t(row_chunk) * size_t(headDim_));
         }
-        store.deqFrozenRows = frozen_rows;
+        store.deqFrozenRows = own;
     }
     std::copy(store.deqFrozen.begin(),
-              store.deqFrozen.begin() +
-                  size_t(frozen_rows) * size_t(headDim_),
+              store.deqFrozen.begin() + size_t(own) * size_t(headDim_),
               out.data().begin());
-    if (store.rows > frozen_rows) {
-        const Matrix deq =
-            dequantizeChunk(chunkSlotOf(store, frozen_rows / row_chunk));
-        TENDER_CHECK(deq.rows() == store.rows - frozen_rows);
-        std::copy(deq.data().begin(), deq.data().end(),
-                  out.rowPtr(frozen_rows));
+    if (rows > own) {
+        const float *src = stagedRow(store, own);
+        std::copy(src, src + size_t(rows - own) * size_t(headDim_),
+                  out.rowPtr(own));
     }
     return out;
 }
 
 KVCodeView
-KVCache::codeView(const Store &store) const
+KVCache::codeView(const Store &store, int pos) const
 {
     TENDER_REQUIRE(config_.mode == KVCacheMode::TenderQuantized,
                    "KV code views exist only for TenderQuantized caches");
+    TENDER_CHECK(pos >= 0);
+    const int reader = std::min(pos, store.rows);
     KVCodeView v;
     v.rowChunk = config_.tender.rowChunk;
-    v.rows = store.rows;
+    v.rows = std::min(reader + 1, store.rows);
     v.alpha = config_.tender.alpha;
-    const int frozen = store.rows / v.rowChunk;
+    const int frozen = reader / v.rowChunk;
     v.frozenRows = frozen * v.rowChunk;
     v.frozen.reserve(size_t(frozen));
     for (int c = 0; c < frozen; ++c)
         v.frozen.push_back(&chunkSlotOf(store, c));
-    if (store.rows > v.frozenRows)
-        v.openDeq = dequantizeChunk(chunkSlotOf(store, frozen));
+    if (v.rows > v.frozenRows)
+        v.open = stagedRow(store, v.frozenRows);
     return v;
 }
 
 Matrix
-KVCache::keys(int layer, int head) const
+KVCache::keys(int layer, int head, int pos) const
 {
-    return materialize(storeOf(layer, head, false));
+    return materialize(storeOf(layer, head, false), pos);
 }
 
 Matrix
-KVCache::values(int layer, int head) const
+KVCache::values(int layer, int head, int pos) const
 {
-    return materialize(storeOf(layer, head, true));
+    return materialize(storeOf(layer, head, true), pos);
 }
 
 KVCodeView
-KVCache::keyView(int layer, int head) const
+KVCache::keyView(int layer, int head, int pos) const
 {
-    return codeView(storeOf(layer, head, false));
+    return codeView(storeOf(layer, head, false), pos);
 }
 
 KVCodeView
-KVCache::valueView(int layer, int head) const
+KVCache::valueView(int layer, int head, int pos) const
 {
-    return codeView(storeOf(layer, head, true));
+    return codeView(storeOf(layer, head, true), pos);
 }
 
 size_t

@@ -13,13 +13,22 @@
  *    row-chunks of `tender.rowChunk` tokens. Each chunk carries Tender
  *    per-chunk metadata (channel decomposition into power-of-two scale
  *    groups, per-channel scale indices, per-channel bias) produced by
- *    core/decompose + core/tender_quant. A chunk is *requantized at append
- *    time*: while it is still filling, its metadata is recomputed over the
- *    rows present so far — the runtime-requantization analogue of the
- *    paper's Section V-A claim that Tender "still works and provides
- *    benefits" during generation — and frozen once the chunk is full.
- *    Reads dequantize, so every consumer sees the storage error exactly
- *    once.
+ *    core/decompose + core/tender_quant from that chunk's own rows — the
+ *    paper's per-chunk decomposition, applied to the cache as it grows.
+ *
+ * The quantized-KV contract: a query at position p reads every chunk
+ * before its own chunk (p / rowChunk) from that chunk's frozen codes, and
+ * its own chunk's rows up to p in fp32, exactly as they were appended.
+ * Each chunk is decomposed and quantized exactly once, when its last row
+ * arrives (exact per-channel min/max -> buildChunkMetaInto -> quantize),
+ * and is immutable from then on. What a row reads is therefore a function
+ * of its position alone, never of which rows shared its step: decode
+ * equals prefill bit for bit, and preemption resume and speculative
+ * verification need no replay of the original step grouping
+ * (tests/test_runtime.cc QuantizedCacheDecodeMatchesPrefillBitExact).
+ * The rows of the open (still-filling) chunk live in per-store fp32
+ * staging; rows of chunks that freeze during a step stay staged until
+ * trimStaging() runs after that layer's attention.
  *
  * Paged layout: instead of owning contiguous buffers, every (layer,
  * kv-head, K|V) store holds a *block table* into a BlockAllocator pool.
@@ -45,14 +54,15 @@
  * write into it (the COW fault), so the shared payload — and therefore
  * every other reader's view — is never mutated. In quantized mode only
  * frozen chunks are shareable (the adopted length is chunk-aligned); the
- * open staging chunk is always private, because its codes are rewritten
- * in place on every append and its fp32 staging rows live in the owner.
+ * open chunk is always private, because its rows live in the owner's
+ * fp32 staging and reach a page only when the chunk freezes.
  */
 
 #ifndef TENDER_RUNTIME_KV_CACHE_H
 #define TENDER_RUNTIME_KV_CACHE_H
 
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -106,24 +116,27 @@ BlockPoolConfig blockPoolConfigFor(const ModelConfig &model,
 
 /**
  * Zero-copy read view of one (layer, kv-head, K|V) store's quantized
- * history. `frozen` holds the full chunks in logical-row order — int8
- * codes plus per-chunk Tender metadata (decomposition groups, scale
- * table, per-channel bias) pointing straight into the block-allocator
- * pages, no fp32 materialization — and `openDeq` is a dequantized copy of
- * only the open (still-filling) chunk, whose metadata is requantized on
- * every append. Consumed by the fused integer-domain attention path
- * (attentionHeadFusedQuant in runtime/decode_engine). The view borrows
- * the pool pages: it is invalidated by the next append to the store
- * (which rewrites the open chunk slot in place) and by releaseAll().
+ * history as a query at some position `pos` reads it (the contract in the
+ * file comment). `frozen` holds the chunks before pos's own chunk in
+ * logical-row order — int8 codes plus per-chunk Tender metadata
+ * (decomposition groups, scale table, per-channel bias) pointing straight
+ * into the block-allocator pages, no fp32 materialization — and `open`
+ * points at the fp32 rows of pos's own chunk in the cache's staging.
+ * Consumed by the fused integer-domain attention path
+ * (attentionFusedQuantPanel in runtime/decode_engine). The view borrows
+ * the pool pages and the staging rows: it is invalidated by the next
+ * append to the store, by trimStaging() and by releaseAll().
  */
 struct KVCodeView
 {
-    std::vector<const QuantizedChunk *> frozen; ///< full chunks, row order
+    std::vector<const QuantizedChunk *> frozen; ///< chunks read as codes
     int rowChunk = 0;   ///< rows per frozen chunk
     int frozenRows = 0; ///< rows covered by `frozen`
-    int rows = 0;       ///< total history rows (frozen + open)
+    int rows = 0;       ///< history rows read (frozen + open)
     int alpha = 2;      ///< Tender rescale base (adjacent scale ratio)
-    Matrix openDeq;     ///< (rows - frozenRows) x headDim; may be empty
+    /** (rows - frozenRows) x headDim fp32 rows, row-major; null when
+     *  rows == frozenRows. */
+    const float *open = nullptr;
 };
 
 class KVCache
@@ -184,25 +197,42 @@ class KVCache
     /** Human-readable detail of the latched fault ("" while healthy). */
     const std::string &failDetail() const { return failDetail_; }
 
-    /** Materialized key history of (layer, kv-head): length() x headDim.
-     *  Walks the store's block table; Fp32 blocks are copied verbatim,
-     *  quantized chunk slots are dequantized. In quantized mode the
-     *  frozen-chunk fp32 panel is memoized per store (frozen chunks are
-     *  immutable for the store's lifetime), so repeated reads re-dequantize
-     *  only the open chunk. The memo makes concurrent materialization of
-     *  the SAME store unsafe; the decode runtime's (segment, kv-head) task
-     *  split never does that. */
-    Matrix keys(int layer, int head) const;
+    /** Reader position past every row: reads as the next appended row
+     *  will, i.e. the whole history. */
+    static constexpr int kNextRow = std::numeric_limits<int>::max();
+
+    /** Materialized key history of (layer, kv-head) as a query at
+     *  position `pos` reads it: rows [0, min(pos + 1, length())). Fp32
+     *  blocks are copied verbatim. In quantized mode the chunks before
+     *  pos's own chunk are dequantized and the rows of pos's chunk are
+     *  the fp32 rows as appended (staging must still hold them: `pos`
+     *  lies in the open chunk or in one frozen since the last
+     *  trimStaging; a `pos` at or past length() reads as position
+     *  length()). The frozen-chunk fp32 panel is memoized per store
+     *  (frozen chunks are immutable for the store's lifetime), so
+     *  repeated reads dequantize each chunk once. The memo makes
+     *  concurrent materialization of the SAME store unsafe; the decode
+     *  runtime's (segment, kv-head) task split never does that. */
+    Matrix keys(int layer, int head, int pos = kNextRow) const;
 
     /** Materialized value history, same contract as keys(). */
-    Matrix values(int layer, int head) const;
+    Matrix values(int layer, int head, int pos = kNextRow) const;
 
-    /** Zero-copy chunk-code view of the key history (quantized mode only);
-     *  see KVCodeView for lifetime rules. */
-    KVCodeView keyView(int layer, int head) const;
+    /** Zero-copy chunk-code view of the key history as a query at `pos`
+     *  reads it (quantized mode only; same rows as keys()); see
+     *  KVCodeView for lifetime rules. */
+    KVCodeView keyView(int layer, int head, int pos = kNextRow) const;
 
     /** Chunk-code view of the value history, same contract as keyView. */
-    KVCodeView valueView(int layer, int head) const;
+    KVCodeView valueView(int layer, int head, int pos = kNextRow) const;
+
+    /**
+     * Drop the fp32 staging rows of chunks that froze from every store of
+     * `layer`, keeping only the open chunk's rows. The decode engine calls
+     * it once the layer's attention has read them, so staging never
+     * outlives the step that completed a chunk. A no-op in Fp32 mode.
+     */
+    void trimStaging(int layer);
 
     /** Modeled bytes held by the cache payload (actual rows, not block
      *  capacity): 4 B/element for Fp32; tenderChunkBytes per chunk for
@@ -280,12 +310,9 @@ class KVCache
      * TenderQuantized: `n` must stay within the open staging chunk —
      * frozen chunks are never reopened (their codes may be published,
      * COW-shared, or parked; the scheduler caps drafts so rollback never
-     * reaches a chunk boundary). The surviving staged rows' per-channel
-     * min/max envelopes are rebuilt by rescan (min/max is order-
-     * independent, so this equals the incremental envelopes bit for bit)
-     * and the open slot is requantized from scratch over the survivors —
-     * bit-identical to a cache that never appended the popped rows
-     * (tests/test_speculation.cc).
+     * reaches a chunk boundary). The open chunk is plain fp32 staging,
+     * so the pop drops its last rows and leaves the cache exactly as if
+     * they had never been appended (tests/test_speculation.cc).
      */
     void truncateRows(int n);
 
@@ -298,25 +325,16 @@ class KVCache
     struct Store
     {
         std::vector<int> blocks;    ///< block table, in logical-row order
-        std::vector<float> staging; ///< quantized: open-chunk fp32 rows
+        /** Quantized: fp32 rows [rows - staging.size() / headDim, rows)
+         *  — the open chunk, plus any chunks frozen since trimStaging. */
+        std::vector<float> staging;
         int rows = 0;               ///< tokens appended to this store
         /** Memoized fp32 panel of the frozen chunks (dequantize-on-read
-         *  fallback path); extended as chunks freeze, reset on release.
+         *  fallback path); extended as chunks are read, reset on release.
          *  Mutable because materialize() is logically const: frozen chunks
          *  never change, so the memo only caches, never alters, reads. */
         mutable std::vector<float> deqFrozen;
         mutable int deqFrozenRows = 0; ///< rows covered by deqFrozen
-        /** Incremental runtime-requantization state for the open chunk:
-         *  per-channel min/max envelopes over the staged rows (exact and
-         *  order-independent, so derived stats equal a full rescan bit for
-         *  bit), which channels moved since the open slot was last
-         *  written, and the tmax / row count the slot's metadata was built
-         *  with. Lets an append requantize only what the new rows actually
-         *  changed instead of redecomposing the whole open chunk. */
-        std::vector<float> openMin, openMax;
-        std::vector<uint8_t> openChanged;
-        float openTmax = 0.f;
-        int openSlotRows = 0;
         /** Index of the adopted tail block this store may still write while
          *  it is shared (adoptPrefix with a non-block-aligned prefix), or
          *  -1. The write paths COW-copy it on first touch; every other
@@ -332,9 +350,10 @@ class KVCache
                         int row0, int rows);
     void appendStore(Store &store, const Matrix &rows, int row0, int row1,
                      int head);
-    void requantizeOpenChunk(Store &store);
-    Matrix materialize(const Store &store) const;
-    KVCodeView codeView(const Store &store) const;
+    void freezeChunk(Store &store, int chunk);
+    const float *stagedRow(const Store &store, int row) const;
+    Matrix materialize(const Store &store, int pos) const;
+    KVCodeView codeView(const Store &store, int pos) const;
     int allocateBlock();
     void ensureBlocks(Store &store, int block_index);
     void cowTailBlock(Store &store);

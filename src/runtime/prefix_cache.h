@@ -122,9 +122,9 @@ class PrefixCache
      * block `match` would adopt and compare against the sums stamped at
      * insert. On a mismatch the entry is released (nothing else may
      * adopt corrupted pages), stats().integrityRejects is bumped, and
-     * false is returned — the caller falls back to cold prefill (or
-     * cold replay on resume), which recomputes the same rows and keeps
-     * tokens bit-identical. Call between match() and adopt().
+     * false is returned — the caller falls back to cold prefill (a
+     * resume recomputes from row 0 too), which recomputes the same rows
+     * and keeps tokens bit-identical. Call between match() and adopt().
      */
     bool verifyMatch(const PrefixMatch &match);
 

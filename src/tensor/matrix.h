@@ -59,9 +59,8 @@ class MatrixT
     const std::vector<T> &data() const { return data_; }
 
     /** Grow or shrink to `rows` rows in place, preserving the leading
-     *  content; the backing vector's capacity is reused, so repeated
-     *  one-row growth (the KV cache's open-chunk requantization) does not
-     *  reallocate every step. */
+     *  content; the backing vector's capacity is reused, so refilling a
+     *  recycled buffer (a KV cache chunk slot) does not reallocate. */
     void
     resizeRows(int rows)
     {

@@ -265,9 +265,10 @@ TEST(FusedAttention, PagedBlockChurnBitStable)
 
 TEST(KVCacheRequant, MatchesFromScratchDecomposition)
 {
-    // The cache's incremental requantization (envelope stats, in-place
-    // metadata updates, per-channel recode) must store exactly what a
-    // from-scratch decompose + quantize of the same rows stores.
+    // Each chunk is decomposed and quantized once, when its last row
+    // arrives: a frozen chunk must store exactly what a one-shot
+    // decompose + quantize of its rows stores, and the open chunk's rows
+    // must read back as the fp32 rows appended.
     const ModelConfig cfg = smallDecoder(64, 2, 1);
     Rng rng(33);
     for (bool bias_subtract : {true, false}) {
@@ -278,24 +279,38 @@ TEST(KVCacheRequant, MatchesFromScratchDecomposition)
         const Matrix k = randomGaussian(total, cols, rng);
         const Matrix v = randomGaussian(total, cols, rng);
         KVCache cache(cfg, qcfg);
-        for (int t = 0; t < total; ++t)
+        for (int t = 0; t < total; ++t) {
             cache.append(0, k.rowSlice(t, t + 1), v.rowSlice(t, t + 1));
+            cache.trimStaging(0);
+        }
 
-        // Reference: per-(head, chunk) decompose + quantize + dequantize
-        // of the head's column slice, the original one-shot pipeline.
+        // Reference: per-(head, chunk) decompose + quantize of the head's
+        // column slice, the original one-shot pipeline.
         for (int h = 0; h < cfg.kvHeads; ++h) {
             const Matrix kh =
                 k.colSlice(h * cfg.headDim(), (h + 1) * cfg.headDim());
-            Matrix expect(total, cfg.headDim());
-            for (const auto &[r0, r1] : chunkRanges(total, 8)) {
-                const Matrix chunk = kh.rowSlice(r0, r1);
-                const Matrix deq = dequantizeChunk(quantizeChunk(
+            const KVCodeView view = cache.keyView(0, h);
+            ASSERT_EQ(3u, view.frozen.size());
+            Matrix expect = kh;
+            for (int c = 0; c < 3; ++c) {
+                const Matrix chunk = kh.rowSlice(c * 8, (c + 1) * 8);
+                const QuantizedChunk ref = quantizeChunk(
                     chunk, decomposeChunk(chunk, qcfg.tender),
-                    qcfg.tender.bits));
+                    qcfg.tender.bits);
+                const QuantizedChunk &got = *view.frozen[size_t(c)];
+                EXPECT_TRUE(got.codes == ref.codes)
+                    << "biasSubtract " << bias_subtract << " head " << h
+                    << " chunk " << c;
+                EXPECT_EQ(got.meta.scale, ref.meta.scale);
+                EXPECT_EQ(got.meta.bias, ref.meta.bias);
+                EXPECT_EQ(got.meta.group, ref.meta.group);
+                EXPECT_EQ(got.meta.order, ref.meta.order);
+                const Matrix deq = dequantizeChunk(ref);
                 for (int r = 0; r < deq.rows(); ++r)
-                    for (int c = 0; c < deq.cols(); ++c)
-                        expect(r0 + r, c) = deq(r, c);
+                    for (int col = 0; col < deq.cols(); ++col)
+                        expect(c * 8 + r, col) = deq(r, col);
             }
+            // Rows 24..28 are the open chunk: fp32, exactly as appended.
             EXPECT_EQ(maxAbsDiff(cache.keys(0, h), expect), 0.f)
                 << "biasSubtract " << bias_subtract << " head " << h;
         }

@@ -262,11 +262,16 @@ TEST(Preemption, AntiThrashBoundCapsFreezesPerRequest)
 
 TEST(Preemption, NoRefreezeBeforeFirstTokenAfterResume)
 {
-    // Regression: once a resumed request's last replay row is staged it
-    // has emitted nothing since re-admission, so ServeSession still holds
-    // it in Prefill, and Prefill -> Preempted is illegal. An Interactive
-    // arrival at exactly that step must wait for the victim's next token;
-    // the second freeze then follows, and the tokens stay bit-exact.
+    // Regression: a resumed request is no preemption victim until it has
+    // read out a token since re-admission — ServeSession holds it in
+    // Prefill until then, and Prefill -> Preempted is illegal. Five chats
+    // arrive at once: the first preempts the victim and overtakes it, the
+    // next three overtake it too, and the overtake bound (4) then
+    // re-admits the victim ahead of the fifth, whose preemption pass in
+    // that same admission must pass the still-prefilling victim over.
+    // Resume is one prefill segment that reads out the next token, so the
+    // victim is Decoding right after that step, the second freeze follows
+    // one step later, and the tokens stay bit-exact.
     for (bool quantized : {false, true}) {
         SyntheticModel model(smallDecoder(), 73);
         KernelContext kc(Backend::Serial);
@@ -279,7 +284,7 @@ TEST(Preemption, NoRefreezeBeforeFirstTokenAfterResume)
         victim.priority = Priority::Batch;
         ServeRequest chat;
         chat.promptTokens = {1, 2, 3};
-        chat.maxNewTokens = 2;
+        chat.maxNewTokens = 1;
         chat.priority = Priority::Interactive;
         const std::vector<int> victim_ref = runSolo(model, options, victim);
 
@@ -287,35 +292,30 @@ TEST(Preemption, NoRefreezeBeforeFirstTokenAfterResume)
         const int vid = session.submit(victim);
         // Prefill + six decode steps: 7 tokens, 10 cache rows, of which
         // the freeze parks two complete blocks (8 rows). Resume then
-        // prefills row 8 and replays rows 9 and 10 one step each.
+        // prefills rows 8..10 as one segment.
         for (int i = 0; i < 7; ++i)
             ASSERT_TRUE(session.step());
-        const int first = session.submit(chat);
-        ASSERT_TRUE(session.step());
-        ASSERT_EQ(RequestState::Preempted, session.state(vid));
-        int guard = 0;
-        while (session.state(vid) == RequestState::Preempted &&
-               guard++ < 16)
+        std::vector<int> chats;
+        for (int i = 0; i < 5; ++i)
+            chats.push_back(session.submit(chat));
+        for (int i = 0; i < 4; ++i) {
             ASSERT_TRUE(session.step());
-        ASSERT_EQ(RequestState::Finished, session.state(first));
-        // Re-admitted: the step that resumed it fed row 8 and staged the
-        // first replay row; one more step stages the last one.
-        ASSERT_EQ(RequestState::Prefill, session.state(vid));
+            ASSERT_EQ(RequestState::Preempted, session.state(vid));
+            ASSERT_EQ(RequestState::Finished, session.state(chats[size_t(i)]));
+        }
+        // Re-admitted ahead of the fifth chat and not frozen again in the
+        // same admission: its resume step read out its next token.
         ASSERT_TRUE(session.step());
-        ASSERT_EQ(RequestState::Prefill, session.state(vid));
-
-        const int second = session.submit(chat);
-        ASSERT_TRUE(session.step());
-        EXPECT_EQ(RequestState::Decoding, session.state(vid));
-        EXPECT_EQ(RequestState::Queued, session.state(second));
+        ASSERT_EQ(RequestState::Decoding, session.state(vid));
+        ASSERT_EQ(RequestState::Queued, session.state(chats[4]));
         ASSERT_TRUE(session.step());
         EXPECT_EQ(RequestState::Preempted, session.state(vid));
+        EXPECT_EQ(RequestState::Finished, session.state(chats[4]));
 
         session.drain();
         EXPECT_EQ(victim_ref, session.result(vid)->tokens)
             << "quantized=" << quantized;
         EXPECT_EQ(2, session.result(vid)->metrics.preemptions);
-        EXPECT_EQ(RequestState::Finished, session.state(second));
         EXPECT_EQ(0u, session.poolStats().parkedBlocks);
         EXPECT_TRUE(session.scheduler().pool().refcountsConsistent());
     }

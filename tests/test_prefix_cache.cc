@@ -193,7 +193,7 @@ TEST(PrefixCacheTest, CowFaultOnWriteToSharedBlockFp32)
 TEST(PrefixCacheTest, QuantizedSharedCodesBitIdenticalAndCowOnOpenSlot)
 {
     // rowChunk 4, blockTokens 8: two chunks per page, so a chunk-aligned
-    // prefix can end mid-block and the consumer's open chunk lands in the
+    // prefix can end mid-block and the consumer's next chunk lands in the
     // still-shared tail page (the quantized COW fault).
     const ModelConfig cfg = smallDecoder();
     KVCacheConfig cache_cfg;
@@ -243,14 +243,17 @@ TEST(PrefixCacheTest, QuantizedSharedCodesBitIdenticalAndCowOnOpenSlot)
         }
     }
 
-    // The consumer's first append rewrites the open-chunk slot in the
-    // shared tail page: COW must fault it private and leave the donor's
-    // frozen chunk bytes untouched.
+    // The open chunk lives in fp32 staging until it freezes, so the
+    // consumer first writes the shared tail page when its next 4 rows
+    // complete chunk 1: COW must fault the page private and leave the
+    // donor's frozen chunk bytes untouched.
     const IntMatrix donor_chunk1_before =
         donor.keyView(0, 0).frozen[1]->codes;
     const Matrix k2 = randomGaussian(4, cols, rng);
     const Matrix v2 = randomGaussian(4, cols, rng);
     appendAllLayers(consumer, cfg, k2, v2, 0, 2);
+    EXPECT_EQ(0, pool.stats().cowCopies);
+    appendAllLayers(consumer, cfg, k2, v2, 2, 2);
     EXPECT_EQ(int64_t(consumer.storeCount()), pool.stats().cowCopies);
     EXPECT_TRUE(donor_chunk1_before == donor.keyView(0, 0).frozen[1]->codes)
         << "quantized COW write mutated the donor's shared page";

@@ -188,6 +188,71 @@ TEST(DecodeEngine, QuantizedCacheTracksFp32AndImprovesWithSmallerChunks)
     EXPECT_LT(e_small, e_large);
 }
 
+TEST(DecodeEngine, QuantizedCacheDecodeMatchesPrefillBitExact)
+{
+    // The quantized-KV contract (runtime/kv_cache.h): a row reads every
+    // chunk before its own as frozen codes and its own chunk's rows in
+    // fp32, and each chunk is quantized once, when its last row arrives.
+    // A hidden row is then a function of its position alone: however the
+    // sequence is split into a prefill and steps, every row must equal
+    // the one-step prefill bit for bit — on every backend, both attention
+    // arms, MQ panels on and off, GQA and chunk sizes alike.
+    const int len = 27;
+    const std::vector<std::pair<int, int>> splits = {
+        {8, 1}, {1, 1}, {5, 3}, {7, 5}, {13, 9}};
+    int cases = 0;
+    for (int kv_heads : {4, 2}) {
+        SyntheticModel model(smallDecoder(kv_heads), 29);
+        const Matrix input = model.sampleInput(len, 6);
+        for (Backend backend :
+             {Backend::Serial, Backend::Threaded, Backend::Packed}) {
+            const KernelContext kc(backend,
+                                   backend == Backend::Serial ? 1 : 3);
+            for (int row_chunk : {4, 8}) {
+                for (bool fused : {false, true}) {
+                    for (bool panels : {false, true}) {
+                        DecodeOptions options;
+                        options.kernels = &kc;
+                        options.cache.mode = KVCacheMode::TenderQuantized;
+                        options.cache.tender.rowChunk = row_chunk;
+                        options.fusedQuantKv = fused;
+                        options.mqAttentionPanels = panels;
+                        const Matrix prefill = teacherForcedDecode(
+                            model, input, len, 1, options);
+                        for (const auto &[first, step] : splits) {
+                            const Matrix dec = teacherForcedDecode(
+                                model, input, first, step, options);
+                            EXPECT_TRUE(dec == prefill)
+                                << "kvHeads " << kv_heads << " backend "
+                                << int(backend) << " rowChunk "
+                                << row_chunk << " fused " << fused
+                                << " panels " << panels << " split "
+                                << first << "/" << step << " max |diff| "
+                                << maxAbsDiff(dec, prefill);
+                            ++cases;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(240, cases);
+}
+
+TEST(KVCacheDeathTest, LayerAppendOutOfStepDies)
+{
+    // Every layer appends the step's rows once: a later layer must catch
+    // up to the cache length exactly, never trail it.
+    const ModelConfig cfg = smallDecoder();
+    Rng rng(3);
+    const int cols = cfg.kvHeads * cfg.headDim();
+    const Matrix k = randomGaussian(4, cols, rng);
+    const Matrix v = randomGaussian(4, cols, rng);
+    KVCache cache(cfg, KVCacheConfig{});
+    cache.append(0, k, v);
+    EXPECT_DEATH(cache.appendRows(1, k, v, 0, 2), "out of step");
+}
+
 TEST(KVCache, QuantizedStorageIsSmallerThanFp32)
 {
     setDefaultKernels(Backend::Serial);
