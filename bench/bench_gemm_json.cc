@@ -5,25 +5,26 @@
  * as BENCH_gemm.json so the perf trajectory of the repo is tracked PR
  * over PR (run via scripts/bench_gemm.sh).
  *
- * The threaded tenderMatmul gains come from two places: chunk/column-slice
- * parallelism over the pool, and the cache-blocked int16/int32 group
- * accumulate (bit-identical to the golden kernel — the NMSE field below is
- * exactly 0 on every host). On single-core hosts only the second effect is
- * visible. The packed arm adds the SIMD microkernels of
- * tensor/packed_gemm: fp32 GEMM is NMSE-gated against the serial oracle
- * (simd_gemm_nmse, bound recorded alongside), while the integer kernels
- * stay bit-exact (int8_bitexact, and nmse_packed_vs_serial == 0 for the
- * pipeline) — all machine-checked by scripts/check_bench.py and by this
- * binary's own exit code.
+ * The timed Tender products request no stats, so the serial arm runs the
+ * golden walk and the threaded and packed arms fold every chunk inside the
+ * per-chunk bound into one int16 dot-product GEMM (core/tender_gemm.h),
+ * column slices spread over the pool. Both pooled arms must equal the
+ * golden walk bit for bit (nmse_threaded_vs_serial and
+ * nmse_packed_vs_serial exactly 0 on every host); fold_fallback_chunks
+ * counts the chunks outside the bound, which walk instead. The packed arm
+ * adds the SIMD microkernels of tensor/packed_gemm: fp32 GEMM is
+ * NMSE-gated against the serial oracle (simd_gemm_nmse, bound recorded
+ * alongside), while the integer kernels stay bit-exact (int8_bitexact) —
+ * all machine-checked by scripts/check_bench.py and by this binary's own
+ * exit code.
  *
  * The tender_prepared section times what preparing a weight saves: a
  * per-call tenderMatmul (quantize the weight, then the pipeline) against
  * the same product on a weight quantized once (TenderScheme::prepare), at
- * the serving replica's weight shapes, which take the folded int16
- * dot-product GEMM, and at K = 2048, outside the fold bound, which keeps
- * the group walk, for one decode row and for one whole row chunk. The
- * prepared product must be bit-identical to the per-call one on every
- * backend (prepared_bitexact, gated).
+ * the serving replica's weight shapes and at K = 2048 and 4096, for one
+ * decode row and for one whole row chunk, recording each shape's fold
+ * fallbacks. The prepared product must be bit-identical to the per-call
+ * one on every backend (prepared_bitexact, gated).
  *
  * Usage: bench_gemm_json [--smoke] [m k n workers out.json]
  * Defaults: 512 4096 4096 8 BENCH_gemm.json (the ISSUE-1 workload);
@@ -86,12 +87,29 @@ int8BitExact(const tender::KernelContext &serial,
     return true;
 }
 
+/** Chunks of `x` outside the per-chunk fold bound: the chunks a pooled
+ *  product without stats runs through the golden walk. */
+int
+foldFallbackChunks(const tender::Matrix &x, const tender::TenderConfig &cfg)
+{
+    using namespace tender;
+    int fallbacks = 0;
+    for (const auto &[r0, r1] : chunkRanges(x.rows(), cfg.rowChunk)) {
+        const Matrix chunk = x.rowSlice(r0, r1);
+        const QuantizedChunk qc =
+            quantizeChunk(chunk, decomposeChunk(chunk, cfg), cfg.bits);
+        if (!foldedChunkFits(qc, cfg))
+            ++fallbacks;
+    }
+    return fallbacks;
+}
+
 /** One tender_prepared row: median µs of a per-call and a prepared
  *  product of an m x k activation with a k x n weight. */
 struct PreparedTiming
 {
     int m, k, n;
-    bool folded; ///< inside the fold bound (folded int16 dot-product GEMM)
+    int foldFallbacks; ///< chunks of the activation outside the fold bound
     double perCallUs, preparedUs;
 };
 
@@ -103,9 +121,8 @@ median(std::vector<double> v)
 }
 
 /** Time per-call against prepared products at the OPT-6.7B /16 serving
- *  replica's weight shapes (q/k/v/o 256x256, fc1 256x1024, fc2 1024x256),
- *  all inside the fold bound, plus one K = 2048 shape outside it (the
- *  group-walk kernels), on `timed`, alternating the two paths `reps`
+ *  replica's weight shapes (q/k/v/o 256x256, fc1 256x1024, fc2 1024x256)
+ *  and at K = 2048 and 4096, on `timed`, alternating the two paths `reps`
  *  times each; *bitexact turns false unless every prepared product equals
  *  the per-call one on every context in `check`. */
 std::vector<PreparedTiming>
@@ -118,7 +135,7 @@ timePrepared(const tender::TenderConfig &cfg,
     Rng rng(7);
     std::vector<PreparedTiming> rows;
     const int shapes[][2] = {{256, 256}, {256, 1024}, {1024, 256},
-                             {2048, 256}};
+                             {2048, 256}, {4096, 256}};
     for (const auto &shape : shapes) {
         const int k = shape[0], n = shape[1];
         const Matrix w = randomGaussian(k, n, rng, 0.f, 0.05f);
@@ -144,7 +161,7 @@ timePrepared(const tender::TenderConfig &cfg,
                 per_call.push_back(seconds(t0, t1) * 1e6);
                 pre.push_back(seconds(t1, t2) * 1e6);
             }
-            rows.push_back({m, k, n, foldedProductFits(k, cfg),
+            rows.push_back({m, k, n, foldFallbackChunks(x, cfg),
                             median(per_call), median(pre)});
         }
     }
@@ -235,32 +252,32 @@ main(int argc, char **argv)
     cfg.rowChunk = 64;
     cfg.checkOverflow = false; // measure MAC throughput, not the checker
     const double macs = double(m) * double(k) * double(n);
+    const double chunks = double(chunkRanges(m, cfg.rowChunk).size());
+    const int fold_fallbacks = foldFallbackChunks(x, cfg);
 
-    TenderGemmStats stats_s;
     t0 = Clock::now();
-    const Matrix ty_s = tenderMatmul(x, w, cfg, &stats_s, &serial);
+    const Matrix ty_s = tenderMatmul(x, w, cfg, nullptr, &serial);
     t1 = Clock::now();
-    TenderGemmStats stats_t;
-    const Matrix ty_t = tenderMatmul(x, w, cfg, &stats_t, &threaded);
+    const Matrix ty_t = tenderMatmul(x, w, cfg, nullptr, &threaded);
     t2 = Clock::now();
-    TenderGemmStats stats_p;
-    const Matrix ty_p = tenderMatmul(x, w, cfg, &stats_p, &packed);
+    const Matrix ty_p = tenderMatmul(x, w, cfg, nullptr, &packed);
     t3 = Clock::now();
     const double tender_serial_s = seconds(t0, t1);
     const double tender_threaded_s = seconds(t1, t2);
     const double tender_packed_s = seconds(t2, t3);
+    // The pooled arms fold, in exact integer arithmetic, so both are held
+    // to bit parity with the golden walk.
     const double tender_nmse = nmse(ty_s, ty_t);
-    // The pipeline's packed arm only touches exact integer loops, so it is
-    // held to the same bit-parity bar as the threaded arm.
     const double tender_packed_nmse = nmse(ty_s, ty_p);
     std::printf("tenderMatmul: serial %.3fs (%.2f GMAC/s, %.1f chunks/s), "
                 "threaded %.3fs (%.2f GMAC/s, %.1f chunks/s), "
-                "speedup %.2fx, nmse %.3g\n",
+                "speedup %.2fx, nmse %.3g, fold fallbacks %d/%.0f\n",
                 tender_serial_s, macs / tender_serial_s * 1e-9,
-                double(stats_s.chunks) / tender_serial_s,
+                chunks / tender_serial_s,
                 tender_threaded_s, macs / tender_threaded_s * 1e-9,
-                double(stats_t.chunks) / tender_threaded_s,
-                tender_serial_s / tender_threaded_s, tender_nmse);
+                chunks / tender_threaded_s,
+                tender_serial_s / tender_threaded_s, tender_nmse,
+                fold_fallbacks, chunks);
     std::printf("tenderMatmul packed: %.3fs (%.2f GMAC/s), %.2fx vs "
                 "serial, nmse %.3g\n",
                 tender_packed_s, macs / tender_packed_s * 1e-9,
@@ -279,11 +296,10 @@ main(int argc, char **argv)
                      {&serial, &threaded, &packed, &serving}, prepared_reps,
                      &prepared_bitexact);
     for (const PreparedTiming &p : prepared_rows)
-        std::printf("tender prepared %dx%dx%d%s: per-call %.1f us, "
-                    "prepared %.1f us (%.2fx)\n",
-                    p.m, p.k, p.n, p.folded ? " (folded)" : "",
-                    p.perCallUs, p.preparedUs,
-                    p.perCallUs / p.preparedUs);
+        std::printf("tender prepared %dx%dx%d (%d fold fallbacks): "
+                    "per-call %.1f us, prepared %.1f us (%.2fx)\n",
+                    p.m, p.k, p.n, p.foldFallbacks, p.perCallUs,
+                    p.preparedUs, p.perCallUs / p.preparedUs);
     std::printf("prepared vs per-call: %s\n",
                 prepared_bitexact ? "bit-exact" : "MISMATCH");
 
@@ -332,13 +348,14 @@ main(int argc, char **argv)
                  "\"threaded_s\": %.6f, \"serial_gmacs\": %.3f, "
                  "\"threaded_gmacs\": %.3f, \"serial_chunks_per_s\": %.3f, "
                  "\"threaded_chunks_per_s\": %.3f, \"speedup\": %.3f, "
+                 "\"fold_fallback_chunks\": %d, "
                  "\"nmse_threaded_vs_serial\": %.3g},\n",
                  tender_serial_s, tender_threaded_s,
                  macs / tender_serial_s * 1e-9,
                  macs / tender_threaded_s * 1e-9,
-                 double(stats_s.chunks) / tender_serial_s,
-                 double(stats_t.chunks) / tender_threaded_s,
-                 tender_serial_s / tender_threaded_s, tender_nmse);
+                 chunks / tender_serial_s, chunks / tender_threaded_s,
+                 tender_serial_s / tender_threaded_s, fold_fallbacks,
+                 tender_nmse);
     std::fprintf(f, "  \"tender_packed\": {\"packed_s\": %.6f, "
                  "\"packed_gmacs\": %.3f, \"speedup_vs_serial\": %.3f, "
                  "\"nmse_packed_vs_serial\": %.6g},\n",
@@ -354,10 +371,10 @@ main(int argc, char **argv)
     for (size_t i = 0; i < prepared_rows.size(); ++i) {
         const PreparedTiming &p = prepared_rows[i];
         std::fprintf(f, "    {\"m\": %d, \"k\": %d, \"n\": %d, "
-                     "\"folded\": %s, "
+                     "\"fold_fallback_chunks\": %d, "
                      "\"per_call_us\": %.1f, \"prepared_us\": %.1f, "
                      "\"speedup\": %.3f}%s\n",
-                     p.m, p.k, p.n, p.folded ? "true" : "false",
+                     p.m, p.k, p.n, p.foldFallbacks,
                      p.perCallUs, p.preparedUs,
                      p.perCallUs / p.preparedUs,
                      i + 1 < prepared_rows.size() ? "," : "");

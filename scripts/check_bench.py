@@ -9,7 +9,9 @@ recorded correctness field regresses:
 
   BENCH_gemm.json
     gemm.max_abs_diff == 0            threaded fp32 GEMM is bit-identical
-    tender.nmse_threaded_vs_serial == 0   Tender pipeline is bit-identical
+    tender.nmse_threaded_vs_serial == 0   the threaded Tender pipeline
+        (the fold, or the golden walk for chunks outside its bound) is
+        bit-identical to the serial golden walk
     gemm_packed.simd_gemm_nmse <= bound   packed SIMD fp32 GEMM vs the
         serial golden oracle (the packed arm trades bit-parity for speed)
     gemm_packed.int8_bitexact             packed gemmInt8 stays bit-exact
@@ -19,6 +21,9 @@ recorded correctness field regresses:
     tender_prepared.prepared_bitexact     a weight quantized once
         (TenderScheme::prepare) gives products bit-identical to the
         per-call pipeline on every backend
+    tender_prepared.shapes[*].fold_fallback_chunks present, and at least
+        one shape with k > 1040 (past the old fold shape bound), so the
+        prepared gate keeps covering the shapes the group walk served
 
   BENCH_decode.json
     correctness.fp32_decode_bit_exact     paged fp32 KV decode == prefill
@@ -107,7 +112,8 @@ def check_gemm(path):
     nmse = doc["tender"]["nmse_threaded_vs_serial"]
     if nmse != 0:
         fail(f"{path}: tender.nmse_threaded_vs_serial = {nmse}, expected "
-             "exactly 0 (blocked accumulate must be bit-identical)")
+             "exactly 0 (the folded product must be bit-identical to the "
+             "golden walk)")
     packed = doc["gemm_packed"]
     simd_nmse = packed["simd_gemm_nmse"]
     simd_bound = packed["simd_gemm_nmse_bound"]
@@ -129,6 +135,17 @@ def check_gemm(path):
         fail(f"{path}: tender_prepared.prepared_bitexact is {prepared} "
              "(products on a prepared weight must be bit-identical to the "
              "per-call pipeline)")
+    shapes = doc["tender_prepared"]["shapes"]
+    for shape in shapes:
+        if "fold_fallback_chunks" not in shape:
+            fail(f"{path}: tender_prepared shape k={shape.get('k')} "
+                 f"n={shape.get('n')} m={shape.get('m')} lacks "
+                 "fold_fallback_chunks (how many of its chunks ran the "
+                 "golden walk)")
+    if not any(shape["k"] > 1040 for shape in shapes):
+        fail(f"{path}: tender_prepared has no shape with k > 1040 (the "
+             "prepared gate must cover the shapes past the old fold "
+             "bound)")
     print(f"check_bench: {path}: gemm bit-parity OK; packed arm "
           f"({doc.get('packed_backend', '?')}, simd {doc.get('simd', '?')}) "
           f"simd_gemm_nmse {simd_nmse:.3g} <= {simd_bound:.3g}, int8 "

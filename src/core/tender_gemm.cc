@@ -8,23 +8,20 @@
 #include <limits>
 
 #include "quant/quantizer.h"
-#include "util/cpu_features.h"
 
 namespace tender {
 
 namespace {
 
-void
-notePeak(TenderGemmStats *stats, const MatrixT<int64_t> &acc)
-{
-    if (!stats)
-        return;
-    for (int64_t v : acc.data()) {
-        stats->peakAbsAcc = std::max(stats->peakAbsAcc, std::abs(v));
-        if (std::abs(v) > int64_t(std::numeric_limits<int32_t>::max()))
-            stats->overflow32 = true;
-    }
-}
+constexpr int64_t kInt16Max = std::numeric_limits<int16_t>::max();
+constexpr int64_t kInt32Max = std::numeric_limits<int32_t>::max();
+
+/** Output-column slice: the golden kernels transpose one slice of the
+ *  N x K weight codes at a time, and the fold splits its columns into
+ *  slices over the pool. */
+constexpr int kColSlice = 128;
+/** Square tile of the slice transpose. */
+constexpr int kTile = 32;
 
 void
 mergeStats(TenderGemmStats &into, const TenderGemmStats &from)
@@ -37,15 +34,93 @@ mergeStats(TenderGemmStats &into, const TenderGemmStats &from)
     into.overflow32 = into.overflow32 || from.overflow32;
 }
 
-/** finishChunkInto's arithmetic for an accumulator of either width: an
- *  int32 and an int64 holding the same value convert to the same double,
- *  so the folded product finishes bit-identically to the golden one. */
+/** Rows [i0, i1) of `m` transposed to m.cols() x (i1 - i0), in
+ *  kTile x kTile tiles: a column slice of the N x K weight codes, or a
+ *  chunk's codes, so the golden kernels stream each channel contiguously. */
+template <class T>
+void
+transposeRows(const MatrixT<T> &m, int i0, int i1, MatrixT<T> &out)
+{
+    const int k = m.cols();
+    const int rows = i1 - i0;
+    if (out.rows() != k || out.cols() != rows)
+        out = MatrixT<T>(k, rows);
+    for (int c0 = 0; c0 < k; c0 += kTile) {
+        const int c1 = std::min(c0 + kTile, k);
+        for (int t0 = 0; t0 < rows; t0 += kTile) {
+            const int t1 = std::min(t0 + kTile, rows);
+            for (int i = t0; i < t1; ++i) {
+                const T *src = m.rowPtr(i0 + i);
+                for (int c = c0; c < c1; ++c)
+                    out.rowPtr(c)[i] = src[c];
+            }
+        }
+    }
+}
+
+/** Add group g's partial products over one transposed column slice `wt`
+ *  into `dst` (chunk rows x wt.cols(), row stride `ld`); `ct` holds the
+ *  chunk's codes transposed (K x rows). The Index Buffer ordering
+ *  (meta.order) makes the channel walk sequential per group, as the
+ *  hardware streams it. Codes are at most 16 bits wide, so each product
+ *  fits int32; the sums run in int64. */
+void
+addGroupProducts(const IntMatrix &ct, const ChunkMeta &meta, int g,
+                 const MatrixT<int16_t> &wt, int64_t *dst, int ld)
+{
+    const int jw = wt.cols();
+    for (int idx = meta.groupStart[size_t(g)];
+         idx < meta.groupStart[size_t(g) + 1]; ++idx) {
+        const int c = meta.order[size_t(idx)];
+        const int32_t *acol = ct.rowPtr(c);
+        const int16_t *wrow = wt.rowPtr(c);
+        for (int r = 0; r < ct.cols(); ++r) {
+            const int32_t a = acol[r];
+            if (a == 0)
+                continue;
+            int64_t *drow = dst + size_t(r) * size_t(ld);
+            for (int j = 0; j < jw; ++j)
+                drow[j] += int64_t(a * int32_t(wrow[j]));
+        }
+    }
+}
+
+/** The golden walk's check point over columns [j0, j1) of `acc`: peak
+ *  tracking for a stats request and the 32-bit overflow check. */
+void
+checkAccumulator(const MatrixT<int64_t> &acc, int j0, int j1,
+                 const TenderConfig &config, TenderGemmStats *stats,
+                 const char *when)
+{
+    if (!stats && !config.checkOverflow)
+        return;
+    for (int r = 0; r < acc.rows(); ++r) {
+        const int64_t *arow = acc.rowPtr(r);
+        for (int j = j0; j < j1; ++j) {
+            const int64_t a = std::abs(arow[j]);
+            if (stats) {
+                stats->peakAbsAcc = std::max(stats->peakAbsAcc, a);
+                if (a > kInt32Max)
+                    stats->overflow32 = true;
+            }
+            if (config.checkOverflow)
+                TENDER_CHECK_MSG(a <= kInt32Max,
+                                 "32-bit accumulator overflow " << when);
+        }
+    }
+}
+
+/** Dequantize a chunk's accumulator and add the bias-correction row, into
+ *  rows [r0, r0 + acc.rows()) of y. An int32 and an int64 holding the
+ *  same value convert to the same double, so the fold finishes
+ *  bit-identically to the golden walk. */
 template <class Acc>
 void
-finishRowsInto(const MatrixT<Acc> &acc, float s_last,
-               const std::vector<float> &col_scale,
-               const Matrix &bias_correction, Matrix &y, int r0)
+finishChunkInto(const MatrixT<Acc> &acc, const ChunkMeta &meta,
+                const std::vector<float> &col_scale,
+                const Matrix &bias_correction, Matrix &y, int r0)
 {
+    const float s_last = meta.scale[size_t(meta.groups() - 1)];
     const float *corr = bias_correction.rowPtr(0);
     for (int r = 0; r < acc.rows(); ++r) {
         const Acc *arow = acc.rowPtr(r);
@@ -62,55 +137,40 @@ MatrixT<int64_t>
 chunkAccumulateImplicit(const QuantizedChunk &qc, const QuantizedWeight &qw,
                         const TenderConfig &config, TenderGemmStats *stats)
 {
-    TENDER_CHECK(qc.codes.cols() == qw.codes.rows());
+    TENDER_CHECK(qc.codes.cols() == qw.codes.cols() && qc.bits == qw.bits);
     const int rows = qc.codes.rows();
-    const int n = qw.codes.cols();
+    const int n = qw.codes.rows();
     const ChunkMeta &meta = qc.meta;
 
     MatrixT<int64_t> acc(rows, n, 0);
-    for (int g = 0; g < meta.groups(); ++g) {
-        if (g > 0) {
-            // Runtime requantization: A <- A * alpha between groups. For
-            // alpha = 2 this is the MSA's 1-bit left shift.
-            for (auto &v : acc.data())
-                v *= config.alpha;
-            if (stats)
-                stats->rescales += int64_t(rows) * int64_t(n);
-            notePeak(stats, acc);
-            if (config.checkOverflow) {
-                for (int64_t v : acc.data())
-                    TENDER_CHECK_MSG(
-                        std::abs(v) <=
-                            int64_t(std::numeric_limits<int32_t>::max()),
-                        "32-bit accumulator overflow during rescale");
+    IntMatrix ct;
+    transposeRows(qc.codes, 0, rows, ct);
+    MatrixT<int16_t> wt;
+    for (int j0 = 0; j0 < n; j0 += kColSlice) {
+        const int j1 = std::min(j0 + kColSlice, n);
+        transposeRows(qw.codes, j0, j1, wt);
+        for (int g = 0; g < meta.groups(); ++g) {
+            if (g > 0) {
+                // Runtime requantization: A <- A * alpha between groups.
+                // For alpha = 2 this is the MSA's 1-bit left shift.
+                for (int r = 0; r < rows; ++r) {
+                    int64_t *arow = acc.rowPtr(r);
+                    for (int j = j0; j < j1; ++j)
+                        arow[j] *= config.alpha;
+                }
+                checkAccumulator(acc, j0, j1, config, stats,
+                                 "during rescale");
             }
+            addGroupProducts(ct, meta, g, wt, acc.rowPtr(0) + j0, n);
         }
-        // Accumulate the partial products of this group's channels. The
-        // Index Buffer ordering (meta.order) makes the channel walk
-        // sequential per group, as the hardware streams it.
-        for (int idx = meta.groupStart[size_t(g)];
-             idx < meta.groupStart[size_t(g) + 1]; ++idx) {
-            const int c = meta.order[size_t(idx)];
-            for (int r = 0; r < rows; ++r) {
-                const int64_t a = qc.codes(r, c);
-                if (a == 0)
-                    continue;
-                const int16_t *wrow = qw.codes.rowPtr(c);
-                int64_t *arow = acc.rowPtr(r);
-                for (int j = 0; j < n; ++j)
-                    arow[j] += a * int64_t(wrow[j]);
-            }
-        }
-        if (stats)
+        checkAccumulator(acc, j0, j1, config, stats, "after final group");
+    }
+    if (stats) {
+        for (int g = 0; g < meta.groups(); ++g)
             stats->macs += int64_t(meta.groupSize(g)) * int64_t(rows) *
                 int64_t(n);
-    }
-    notePeak(stats, acc);
-    if (config.checkOverflow) {
-        for (int64_t v : acc.data())
-            TENDER_CHECK_MSG(
-                std::abs(v) <= int64_t(std::numeric_limits<int32_t>::max()),
-                "32-bit accumulator overflow after final group");
+        stats->rescales += int64_t(meta.groups() - 1) * int64_t(rows) *
+            int64_t(n);
     }
     return acc;
 }
@@ -132,239 +192,18 @@ biasCorrectionRow(const ChunkMeta &meta, const Matrix &w)
     return row;
 }
 
-void
-finishChunkInto(const MatrixT<int64_t> &acc, const QuantizedChunk &qc,
-                const QuantizedWeight &qw, const Matrix &bias_correction,
-                Matrix &y, int r0)
-{
-    const ChunkMeta &meta = qc.meta;
-    finishRowsInto(acc, meta.scale[size_t(meta.groups() - 1)], qw.colScale,
-                   bias_correction, y, r0);
-}
-
-Matrix
-finishChunk(const MatrixT<int64_t> &acc, const QuantizedChunk &qc,
-            const QuantizedWeight &qw, const Matrix &bias_correction)
-{
-    Matrix out(acc.rows(), acc.cols());
-    finishChunkInto(acc, qc, qw, bias_correction, out, 0);
-    return out;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
-// Fast blocked accumulate (threaded backend).
+// Folded product (pooled backends, no stats, chunks inside the bound).
 //
-// The golden kernel above walks channel-by-channel across the full
-// accumulator, so for transformer-scale N the accumulator row working set
-// lives in L3. The blocked variant processes an output-column slice at a
-// time with group partial sums in int32 (codes are at most 8 bits wide, so
-// a whole group's partial sum is bounded well inside int32 — checked per
-// chunk before selecting this path). It reads the weight's int16 codes in
-// place and a transposed int16 copy of the chunk's activation codes.
-// Integer arithmetic is exact, so the result is bit-identical to the
-// golden kernel; peak/overflow tracking scans the same accumulator values
-// at the same group boundaries.
-// ---------------------------------------------------------------------------
-
-/** Output-column slice width: int32 partial row of 512 B. */
-constexpr int kFastColBlock = 128;
-/** Chunk-row band: partial band of kFastColBlock*kFastRowBand*4 B = 16 KB
- *  stays L1-resident while a group's channels stream through it. */
-constexpr int kFastRowBand = 32;
-
-/** Narrowed (int16), transposed copy of a chunk's widened activation
- *  codes (channels x rows); bits <= 8 guarantees the fit. */
-MatrixT<int16_t>
-packCodesTransposed(const IntMatrix &m)
-{
-    MatrixT<int16_t> t(m.cols(), m.rows());
-    for (int r = 0; r < m.rows(); ++r) {
-        const int32_t *row = m.rowPtr(r);
-        for (int c = 0; c < m.cols(); ++c)
-            t.rowPtr(c)[r] = int16_t(row[c]);
-    }
-    return t;
-}
-
-/** True when ONE group's int32 partial sum provably cannot overflow at
- *  worst-case codes (the partial is folded into the int64 running
- *  accumulator at each group boundary, so only the per-group bound is
- *  needed — it holds for any transformer-scale reduction at b <= 8). */
-bool
-fastEligible(const ChunkMeta &meta, int bits)
-{
-    if (bits > 8)
-        return false;
-    int max_group = 0;
-    for (int g = 0; g < meta.groups(); ++g)
-        max_group = std::max(max_group, meta.groupSize(g));
-    const int64_t mc = maxCode(bits);
-    return mc * mc * int64_t(max_group) <=
-        int64_t(std::numeric_limits<int32_t>::max());
-}
-
-/** Blocked accumulate over output columns [j0, j1): identical arithmetic
- *  to chunkAccumulateImplicit restricted to that column slice. Group
- *  partials run in an L1-resident int32 band (exact under the
- *  fastEligible bound); the running accumulator, like the golden
- *  kernel's, is int64 so saturating workloads overflow-account rather
- *  than wrap. */
-void
-fastAccumulateCols(const MatrixT<int16_t> &xt, const MatrixT<int16_t> &w16,
-                   const ChunkMeta &meta, const TenderConfig &config,
-                   int j0, int j1, MatrixT<int64_t> &acc, bool track,
-                   int64_t *peak_abs, bool *overflow)
-{
-    const int rows = xt.cols();
-    const int jw = j1 - j0;
-    const int64_t int32_max = int64_t(std::numeric_limits<int32_t>::max());
-    std::vector<int32_t> part(size_t(kFastRowBand) * size_t(jw));
-    std::vector<int64_t> accb(size_t(kFastRowBand) * size_t(jw));
-
-    for (int rb = 0; rb < rows; rb += kFastRowBand) {
-        const int rn = std::min(kFastRowBand, rows - rb);
-        const size_t cnt = size_t(rn) * size_t(jw);
-        std::fill(accb.begin(), accb.begin() + cnt, int64_t{0});
-        for (int g = 0; g < meta.groups(); ++g) {
-            if (g > 0) {
-                for (size_t i = 0; i < cnt; ++i)
-                    accb[i] *= config.alpha;
-                if (track || config.checkOverflow) {
-                    for (size_t i = 0; i < cnt; ++i) {
-                        const int64_t a = std::abs(accb[i]);
-                        if (track) {
-                            *peak_abs = std::max(*peak_abs, a);
-                            if (a > int32_max)
-                                *overflow = true;
-                        }
-                        if (config.checkOverflow)
-                            TENDER_CHECK_MSG(
-                                a <= int32_max,
-                                "32-bit accumulator overflow during rescale");
-                    }
-                }
-            }
-            std::fill(part.begin(), part.begin() + cnt, 0);
-            for (int idx = meta.groupStart[size_t(g)];
-                 idx < meta.groupStart[size_t(g) + 1]; ++idx) {
-                const int c = meta.order[size_t(idx)];
-                const int16_t *__restrict wrow = w16.rowPtr(c) + j0;
-                const int16_t *__restrict xcol = xt.rowPtr(c) + rb;
-                int r = 0;
-                // Four rows share each weight-slice load (adding a zero
-                // product for an empty lane is exact, so the skip
-                // condition only needs all four codes zero).
-                for (; r + 3 < rn; r += 4) {
-                    const int32_t a0 = xcol[r];
-                    const int32_t a1 = xcol[r + 1];
-                    const int32_t a2 = xcol[r + 2];
-                    const int32_t a3 = xcol[r + 3];
-                    if ((a0 | a1 | a2 | a3) == 0)
-                        continue;
-                    int32_t *__restrict p0 =
-                        part.data() + size_t(r) * size_t(jw);
-                    int32_t *__restrict p1 = p0 + jw;
-                    int32_t *__restrict p2 = p1 + jw;
-                    int32_t *__restrict p3 = p2 + jw;
-                    TENDER_PRAGMA_SIMD
-                    for (int j = 0; j < jw; ++j) {
-                        const int32_t wv = wrow[j];
-                        p0[j] += a0 * wv;
-                        p1[j] += a1 * wv;
-                        p2[j] += a2 * wv;
-                        p3[j] += a3 * wv;
-                    }
-                }
-                for (; r < rn; ++r) {
-                    const int32_t a = xcol[r];
-                    if (a == 0)
-                        continue;
-                    int32_t *__restrict prow =
-                        part.data() + size_t(r) * size_t(jw);
-                    TENDER_PRAGMA_SIMD
-                    for (int j = 0; j < jw; ++j)
-                        prow[j] += a * int32_t(wrow[j]);
-                }
-            }
-            for (size_t i = 0; i < cnt; ++i)
-                accb[i] += int64_t(part[i]);
-        }
-        if (track || config.checkOverflow) {
-            for (size_t i = 0; i < cnt; ++i) {
-                const int64_t a = std::abs(accb[i]);
-                if (track) {
-                    *peak_abs = std::max(*peak_abs, a);
-                    if (a > int32_max)
-                        *overflow = true;
-                }
-                if (config.checkOverflow)
-                    TENDER_CHECK_MSG(
-                        a <= int32_max,
-                        "32-bit accumulator overflow after final group");
-            }
-        }
-        for (int r = 0; r < rn; ++r)
-            std::copy(accb.begin() + size_t(r) * size_t(jw),
-                      accb.begin() + size_t(r + 1) * size_t(jw),
-                      acc.rowPtr(rb + r) + j0);
-    }
-}
-
-MatrixT<int64_t>
-chunkAccumulateFast(const IntMatrix &codes, const MatrixT<int16_t> &w16,
-                    const ChunkMeta &meta, const TenderConfig &config,
-                    TenderGemmStats *stats, const KernelContext &kc)
-{
-    const int rows = codes.rows();
-    const int n = w16.cols();
-    const MatrixT<int16_t> xt = packCodesTransposed(codes);
-    MatrixT<int64_t> acc(rows, n, 0);
-    const int64_t blocks = (n + kFastColBlock - 1) / kFastColBlock;
-    const bool track = stats != nullptr;
-    std::vector<int64_t> peaks(size_t(blocks), 0);
-    std::vector<uint8_t> ovf(size_t(blocks), 0);
-    // Column slices are independent for the whole group walk, so this is
-    // the second parallel axis (used when chunks alone can't fill the
-    // pool; nested calls from chunk tasks run inline).
-    kc.parallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-            bool o = false;
-            fastAccumulateCols(xt, w16, meta, config, int(b) * kFastColBlock,
-                               std::min(int(b) * kFastColBlock +
-                                        kFastColBlock, n),
-                               acc, track, &peaks[size_t(b)], &o);
-            ovf[size_t(b)] = o ? 1 : 0;
-        }
-    });
-    if (stats) {
-        for (int g = 0; g < meta.groups(); ++g)
-            stats->macs += int64_t(meta.groupSize(g)) * int64_t(rows) *
-                int64_t(n);
-        stats->rescales += int64_t(meta.groups() - 1) * int64_t(rows) *
-            int64_t(n);
-        for (int64_t b = 0; b < blocks; ++b) {
-            stats->peakAbsAcc = std::max(stats->peakAbsAcc,
-                                         peaks[size_t(b)]);
-            if (ovf[size_t(b)])
-                stats->overflow32 = true;
-        }
-    }
-    return acc;
-}
-
-// ---------------------------------------------------------------------------
-// Folded product (prepared weights inside the fold bound).
-//
-// Adjacent group scales are exactly alpha apart, so the golden kernel's
+// Adjacent group scales are exactly alpha apart, so the golden walk's
 // shift-between-groups distributes over the sum: A_{G-1} =
 // sum_c (q_c * alpha^(G-1-g(c))) * w_c. Multiplying each activation code
 // by its group's power of alpha up front turns the group walk into one
-// plain int16 dot-product GEMM with int32 accumulation. foldedProductFits
-// bounds every folded code by INT16_MAX and every partial sum, in any
-// order, by INT32_MAX, so the result equals the golden accumulator exactly
-// and none of its group-boundary overflow checks could have fired.
+// plain int16 dot-product GEMM with int32 accumulation. The per-chunk
+// bound (foldedChunkFits, proof in the header) makes it exact and proves
+// that none of the golden walk's overflow checks could have fired.
 // ---------------------------------------------------------------------------
 
 /** Register tile of the folded kernel: kDotRows chunk rows by kDotCols
@@ -410,7 +249,7 @@ dotRowBand(const MatrixT<int16_t> &a, const MatrixT<int16_t> &b, int r,
 }
 
 /** acc(r, j) = sum_k a(r, k) * b(j, k) for output columns [j0, j1): `a`
- *  holds a chunk's folded codes (rows x K), `b` the weight's columns
+ *  holds a chunk's folded codes (rows x K), `b` the weight's codes
  *  (N x K). */
 void
 foldedDotCols(const MatrixT<int16_t> &a, const MatrixT<int16_t> &b, int j0,
@@ -423,33 +262,52 @@ foldedDotCols(const MatrixT<int16_t> &a, const MatrixT<int16_t> &b, int j0,
         dotRowBand<1>(a, b, r, j0, j1, acc);
 }
 
+/** What folding a chunk's codes found. */
+enum class Fold
+{
+    Zero, ///< every code is zero: the accumulator is zero
+    Fits, ///< inside the per-chunk bound: the folded GEMM is exact
+    Walk, ///< outside it: the chunk runs the golden walk
+};
+
 /** Fold the alpha-rescale into a quantized chunk: each code times
- *  alpha^(G-1-g(c)), narrowed to int16 (exact under foldedProductFits).
- *  Returns false when every code is zero. */
-bool
-foldChunkCodes(const QuantizedChunk &qc, int alpha, MatrixT<int16_t> &out)
+ *  alpha^(G-1-g(c)), narrowed to int16 into `out`, checking the per-chunk
+ *  bound in the same pass. `out` is complete only when the result is not
+ *  Walk. */
+Fold
+foldChunkCodes(const QuantizedChunk &qc, const TenderConfig &config,
+               MatrixT<int16_t> &out)
 {
     const ChunkMeta &meta = qc.meta;
     const int groups = meta.groups();
-    std::vector<int32_t> group_mult(size_t(groups), 1);
+    // A multiplier past INT16_MAX makes any non-zero code of its group
+    // too wide already, so the powers stop growing there.
+    std::vector<int64_t> group_mult(size_t(groups), 1);
     for (int g = groups - 2; g >= 0; --g)
-        group_mult[size_t(g)] = group_mult[size_t(g) + 1] * alpha;
+        group_mult[size_t(g)] = std::min(
+            group_mult[size_t(g) + 1] * config.alpha, kInt16Max + 1);
     const int d = qc.codes.cols();
-    std::vector<int32_t> mult(static_cast<size_t>(d));
+    std::vector<int64_t> mult(static_cast<size_t>(d));
     for (int c = 0; c < d; ++c)
         mult[size_t(c)] = group_mult[size_t(meta.group[size_t(c)])];
+    const int64_t max_code = maxCode(config.bits);
     out = MatrixT<int16_t>(qc.codes.rows(), d);
-    int32_t any = 0;
+    bool any = false;
     for (int r = 0; r < qc.codes.rows(); ++r) {
         const int32_t *src = qc.codes.rowPtr(r);
         int16_t *dst = out.rowPtr(r);
+        int64_t widest = 0, sum = 0;
         for (int c = 0; c < d; ++c) {
-            const int32_t v = src[c] * mult[size_t(c)];
+            const int64_t v = int64_t(src[c]) * mult[size_t(c)];
             dst[c] = int16_t(v);
-            any |= v;
+            widest = std::max(widest, std::abs(v));
+            sum += std::abs(v);
         }
+        if (widest > kInt16Max || max_code * sum > kInt32Max)
+            return Fold::Walk;
+        any = any || sum != 0;
     }
-    return any != 0;
+    return any ? Fold::Fits : Fold::Zero;
 }
 
 // ---------------------------------------------------------------------------
@@ -490,89 +348,37 @@ addRowsInto(const Matrix &row, Matrix &y, int r0, int rows)
 
 /** Eq. 1 body for one chunk, accumulating straight into the output view:
  *  one integer GEMM per group, dequantized with the group scale and added
- *  in FP (groups ascending, bias-correction row last). The per-element FP
- *  sequence — one add per group, then the bias row — is exactly what the
- *  blocked variant below replays, so the two are bit-identical. */
+ *  in FP (groups ascending, bias-correction row last), one column slice
+ *  at a time. */
 void
-processChunkExplicit(const ChunkMeta &meta, const QuantizedChunk &qc,
-                     const QuantizedWeight &qw, const Matrix &w,
-                     Matrix &y, int r0)
+processChunkExplicit(const QuantizedChunk &qc, const QuantizedWeight &qw,
+                     const Matrix &w, Matrix &y, int r0)
 {
+    const ChunkMeta &meta = qc.meta;
     const int rows = qc.codes.rows();
-    const int n = qw.codes.cols();
-    MatrixT<int64_t> partial(rows, n, 0);
-    for (int g = 0; g < meta.groups(); ++g) {
-        std::fill(partial.data().begin(), partial.data().end(), int64_t{0});
-        for (int idx = meta.groupStart[size_t(g)];
-             idx < meta.groupStart[size_t(g) + 1]; ++idx) {
-            const int c = meta.order[size_t(idx)];
+    const int n = qw.codes.rows();
+    IntMatrix ct;
+    transposeRows(qc.codes, 0, rows, ct);
+    MatrixT<int16_t> wt;
+    std::vector<int64_t> partial;
+    for (int j0 = 0; j0 < n; j0 += kColSlice) {
+        const int j1 = std::min(j0 + kColSlice, n);
+        const int jw = j1 - j0;
+        transposeRows(qw.codes, j0, j1, wt);
+        for (int g = 0; g < meta.groups(); ++g) {
+            partial.assign(size_t(rows) * size_t(jw), 0);
+            addGroupProducts(ct, meta, g, wt, partial.data(), jw);
+            const double sg = meta.scale[size_t(g)];
             for (int r = 0; r < rows; ++r) {
-                const int64_t a = qc.codes(r, c);
-                if (a == 0)
-                    continue;
-                const int16_t *wrow = qw.codes.rowPtr(c);
-                int64_t *prow = partial.rowPtr(r);
-                for (int j = 0; j < n; ++j)
-                    prow[j] += a * int64_t(wrow[j]);
+                const int64_t *prow = partial.data() + size_t(r) * size_t(jw);
+                float *yrow = y.rowPtr(r0 + r) + j0;
+                for (int j = 0; j < jw; ++j)
+                    yrow[j] += float(double(prow[j]) * sg *
+                                     double(qw.colScale[size_t(j0 + j)]));
             }
-        }
-        const double sg = meta.scale[size_t(g)];
-        for (int r = 0; r < rows; ++r) {
-            const int64_t *prow = partial.rowPtr(r);
-            float *yrow = y.rowPtr(r0 + r);
-            for (int j = 0; j < n; ++j)
-                yrow[j] += float(double(prow[j]) * sg *
-                                 double(qw.colScale[size_t(j)]));
         }
     }
     addRowsInto(biasCorrectionRow(meta, w), y, r0, rows);
-}
-
-/** Blocked Eq. 1 accumulate over output columns [j0, j1): the group
- *  partial runs in the same L1-resident int32 band as the implicit fast
- *  path (exact under the fastEligible bound), and each group's partial is
- *  dequantized into y with one FP add per element — the identical FP
- *  sequence as processChunkExplicit, hence bit parity (asserted in
- *  tests/test_tender_gemm.cc). The caller adds the bias-correction row. */
-void
-fastExplicitCols(const MatrixT<int16_t> &xt, const MatrixT<int16_t> &w16,
-                 const ChunkMeta &meta, const std::vector<float> &col_scale,
-                 int j0, int j1, Matrix &y, int r0)
-{
-    const int rows = xt.cols();
-    const int jw = j1 - j0;
-    std::vector<int32_t> part(size_t(kFastRowBand) * size_t(jw));
-    for (int rb = 0; rb < rows; rb += kFastRowBand) {
-        const int rn = std::min(kFastRowBand, rows - rb);
-        const size_t cnt = size_t(rn) * size_t(jw);
-        for (int g = 0; g < meta.groups(); ++g) {
-            std::fill(part.begin(), part.begin() + cnt, 0);
-            for (int idx = meta.groupStart[size_t(g)];
-                 idx < meta.groupStart[size_t(g) + 1]; ++idx) {
-                const int c = meta.order[size_t(idx)];
-                const int16_t *__restrict wrow = w16.rowPtr(c) + j0;
-                const int16_t *__restrict xcol = xt.rowPtr(c) + rb;
-                for (int r = 0; r < rn; ++r) {
-                    const int32_t a = xcol[r];
-                    if (a == 0)
-                        continue;
-                    int32_t *__restrict prow =
-                        part.data() + size_t(r) * size_t(jw);
-                    TENDER_PRAGMA_SIMD
-                    for (int j = 0; j < jw; ++j)
-                        prow[j] += a * int32_t(wrow[j]);
-                }
-            }
-            const double sg = meta.scale[size_t(g)];
-            for (int r = 0; r < rn; ++r) {
-                const int32_t *prow = part.data() + size_t(r) * size_t(jw);
-                float *yrow = y.rowPtr(r0 + rb + r) + j0;
-                for (int j = 0; j < jw; ++j)
-                    yrow[j] += float(double(prow[j]) * sg *
-                                     double(col_scale[size_t(j0 + j)]));
-            }
-        }
-    }
 }
 
 /** The chunk pipeline over a weight quantized beforehand: `qw` is
@@ -585,16 +391,15 @@ runChunkPipeline(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
                  TenderGemmStats *stats, const KernelContext &kc)
 {
     TENDER_CHECK(x.cols() == w.rows());
-    TENDER_CHECK(qw.codes.rows() == w.rows() && qw.codes.cols() == w.cols());
+    TENDER_CHECK(qw.codes.rows() == w.cols() && qw.codes.cols() == w.rows());
     TENDER_CHECK(qw.bits == config.bits);
-    // Both requant modes share the blocked int16/int32 group accumulate
-    // under the pooled backends (bit-identical to their golden kernels —
-    // the accumulate is pure integer arithmetic, so the packed arm's SIMD
-    // lanes reorder an exact sum and change nothing).
-    const bool fast_backend = kc.backend() != Backend::Serial &&
-        config.bits <= 8;
+    // The pooled backends fold every chunk inside the bound; stats count
+    // the golden walk's rescales and peaks, so a stats request walks.
+    const bool fold = mode == RequantMode::Implicit && !stats &&
+        kc.backend() != Backend::Serial;
+    const int n = w.cols();
 
-    Matrix y(x.rows(), w.cols(), 0.f);
+    Matrix y(x.rows(), n, 0.f);
     const auto ranges = chunkRanges(x.rows(), config.rowChunk);
     std::vector<TenderGemmStats> local(ranges.size());
 
@@ -617,38 +422,35 @@ runChunkPipeline(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
             meta = decomposeChunk(chunk, config);
         }
         const QuantizedChunk qc = quantizeChunk(chunk, meta, config.bits);
-        const bool fast = fast_backend && fastEligible(meta, config.bits);
-        if (mode == RequantMode::Implicit) {
-            const MatrixT<int64_t> acc = fast
-                ? chunkAccumulateFast(qc.codes, qw.codes, meta, config, ls,
-                                      kc)
-                : chunkAccumulateImplicit(qc, qw, config, ls);
-            const Matrix correction = biasCorrectionRow(meta, w);
-            finishChunkInto(acc, qc, qw, correction, y, r0);
-        } else if (fast) {
-            const MatrixT<int16_t> xt = packCodesTransposed(qc.codes);
-            const int n = w.cols();
-            const int64_t blocks = (n + kFastColBlock - 1) / kFastColBlock;
-            kc.parallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
-                for (int64_t b = b0; b < b1; ++b)
-                    fastExplicitCols(xt, qw.codes, meta, qw.colScale,
-                                     int(b) * kFastColBlock,
-                                     std::min(int(b) * kFastColBlock +
-                                              kFastColBlock, n),
-                                     y, r0);
-            });
-            addRowsInto(biasCorrectionRow(meta, w), y, r0,
-                        qc.codes.rows());
-        } else {
-            processChunkExplicit(meta, qc, qw, w, y, r0);
-        }
         ++local[ci].chunks;
+        if (mode == RequantMode::Explicit) {
+            processChunkExplicit(qc, qw, w, y, r0);
+            return;
+        }
+        const Matrix correction = biasCorrectionRow(meta, w);
+        MatrixT<int16_t> folded;
+        const Fold kind = fold ? foldChunkCodes(qc, config, folded)
+                               : Fold::Walk;
+        if (kind == Fold::Walk) {
+            finishChunkInto(chunkAccumulateImplicit(qc, qw, config, ls),
+                            meta, qw.colScale, correction, y, r0);
+            return;
+        }
+        MatrixT<int32_t> acc(r1 - r0, n, 0);
+        if (kind == Fold::Fits) {
+            const int64_t slices = (n + kColSlice - 1) / kColSlice;
+            kc.parallelFor(0, slices, 1, [&](int64_t b0, int64_t b1) {
+                for (int64_t b = b0; b < b1; ++b)
+                    foldedDotCols(folded, qw.codes, int(b) * kColSlice,
+                                  std::min(int(b + 1) * kColSlice, n), acc);
+            });
+        }
+        finishChunkInto(acc, meta, qw.colScale, correction, y, r0);
     };
 
-    // The fast bodies of BOTH requant modes have an inner (column-sliced)
-    // parallel axis; the golden bodies always parallelize over chunks,
-    // however few.
-    forEachChunk(ranges, fast_backend, kc, processOne);
+    // The fold has an inner (column-sliced) parallel axis; the golden
+    // bodies always parallelize over chunks, however few.
+    forEachChunk(ranges, fold, kc, processOne);
 
     int64_t reuses = 0;
     for (const TenderGemmStats &s : local)
@@ -674,6 +476,13 @@ runChunkPipeline(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
 
 } // namespace
 
+bool
+foldedChunkFits(const QuantizedChunk &qc, const TenderConfig &config)
+{
+    MatrixT<int16_t> folded;
+    return foldChunkCodes(qc, config, folded) != Fold::Walk;
+}
+
 Matrix
 tenderMatmul(const Matrix &x, const Matrix &w, const TenderConfig &config,
              TenderGemmStats *stats, const KernelContext *kernels)
@@ -690,72 +499,6 @@ tenderMatmul(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
     const KernelContext &kc = kernels ? *kernels : defaultKernels();
     return runChunkPipeline(x, qw, w, nullptr, config, RequantMode::Implicit,
                             stats, kc);
-}
-
-bool
-foldedProductFits(int k, const TenderConfig &config)
-{
-    if (config.bits < 2 || config.bits > 16)
-        return false;
-    const int64_t max_code = maxCode(config.bits);
-    int64_t top = max_code; // maxCode * alpha^(G-1): group 0's folded code
-    for (int g = 1; g < config.numGroups; ++g) {
-        top *= config.alpha;
-        if (top > int64_t(std::numeric_limits<int16_t>::max()))
-            return false;
-    }
-    return top <= int64_t(std::numeric_limits<int16_t>::max()) &&
-        int64_t(k) * max_code * top <=
-        int64_t(std::numeric_limits<int32_t>::max());
-}
-
-Matrix
-tenderMatmul(const Matrix &x, const QuantizedColumns &cols, const Matrix &w,
-             const TenderConfig &config, const KernelContext *kernels)
-{
-    TENDER_CHECK(x.cols() == w.rows());
-    TENDER_CHECK(cols.codes.rows() == w.cols() &&
-                 cols.codes.cols() == w.rows());
-    TENDER_CHECK(cols.bits == config.bits);
-    TENDER_CHECK_MSG(foldedProductFits(w.rows(), config),
-                     "folded product needs K * maxCode^2 * alpha^(G-1) <= "
-                     "INT32_MAX, K = " << w.rows());
-    const KernelContext &kc = kernels ? *kernels : defaultKernels();
-    const int n = w.cols();
-    Matrix y(x.rows(), n, 0.f);
-    const auto ranges = chunkRanges(x.rows(), config.rowChunk);
-    forEachChunk(ranges, true, kc, [&](size_t ci) {
-        const auto [r0, r1] = ranges[ci];
-        const Matrix chunk = x.rowSlice(r0, r1);
-        const ChunkMeta meta = decomposeChunk(chunk, config);
-        const QuantizedChunk qc = quantizeChunk(chunk, meta, config.bits);
-        const Matrix correction = biasCorrectionRow(meta, w);
-        MatrixT<int16_t> folded;
-        if (!foldChunkCodes(qc, config.alpha, folded)) {
-            // Every code is zero (every one-row chunk under bias
-            // subtraction: its per-channel bias is the row itself), so
-            // the product is the bias-correction row. A zero accumulator finishes to +0.0,
-            // and adding the row to it turns a -0.0 correction into +0.0
-            // exactly as the full finish does.
-            const float *corr = correction.rowPtr(0);
-            for (int r = r0; r < r1; ++r) {
-                float *yrow = y.rowPtr(r);
-                for (int j = 0; j < n; ++j)
-                    yrow[j] = 0.f + corr[j];
-            }
-            return;
-        }
-        MatrixT<int32_t> acc(r1 - r0, n);
-        const int64_t blocks = (n + kFastColBlock - 1) / kFastColBlock;
-        kc.parallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
-            for (int64_t b = b0; b < b1; ++b)
-                foldedDotCols(folded, cols.codes, int(b) * kFastColBlock,
-                              std::min(int(b + 1) * kFastColBlock, n), acc);
-        });
-        finishRowsInto(acc, meta.scale[size_t(meta.groups() - 1)],
-                       cols.colScale, correction, y, r0);
-    });
-    return y;
 }
 
 Matrix

@@ -7,45 +7,55 @@
  * (a 1-bit left shift for alpha = 2), exactly like the Multi-Scale Systolic
  * Array. The explicit path (Eq. 1) dequantizes each group's partial product
  * separately and adds in floating point — the costly reference Tender
- * avoids. Both are exposed so tests can prove them equivalent and so the
- * Fig. 13 harness can model their performance difference.
+ * avoids. Both are exposed so tests can prove them equivalent.
  *
  * All entry points share one chunk pipeline (decompose -> quantize ->
- * accumulate-with-requant -> finish-into-output-view) over a weight that
- * is already quantized: the fp32-weight entry points quantize it first,
- * and the QuantizedWeight overload of tenderMatmul skips that step for a
- * weight quantized once up front, bit-identical to the per-call path.
- * Per-chunk tasks are dispatched over the KernelContext's thread pool:
- * Tender's row-chunk decomposition makes chunks embarrassingly parallel by
- * construction. The threaded backend additionally runs a cache-blocked
- * int16/int32 variant of the group accumulate — shared by the implicit AND
- * explicit modes (the explicit golden kernel computes one integer partial
- * per group, so the blocked integer partials slot into the identical
- * per-element FP sequence); both it and the golden kernels read the
- * weight's int16 codes in place. Integer arithmetic is exact, so results
- * are bit-identical to the golden serial kernels and the determinism
- * tests assert exact equality.
+ * accumulate -> finish into the chunk's output rows) over a weight
+ * quantized into one layout, N x K codes (core/tender_quant.h): the
+ * fp32-weight entry points quantize it first, and the QuantizedWeight
+ * overload of tenderMatmul reads a weight quantized once up front,
+ * bit-identical to the per-call path. Chunks are the primary parallel
+ * axis over the KernelContext's pool: Tender's row-chunk decomposition
+ * makes them independent by construction.
  *
- * The folded product (the QuantizedColumns overload) replaces the group
- * walk for weights inside the fold bound. Adjacent group scales are
- * exactly alpha apart, so the shift between groups distributes over the
- * sum: A_{G-1} = sum_c (q_c * alpha^(G-1-g(c))) * w_c. Each chunk is
- * decomposed and quantized as above, each code is multiplied by its
- * group's alpha^(G-1-g) into int16, and one int16 dot-product GEMM with
- * int32 accumulation against the weight's N x K codes gives A_{G-1},
- * finished with the same arithmetic. The bound, foldedProductFits:
- * maxCode * alpha^(G-1) <= INT16_MAX and K * maxCode^2 * alpha^(G-1) <=
- * INT32_MAX. It makes the fold exact and proves that none of the golden
- * kernel's group-boundary overflow checks could have fired, so products
- * are bit-identical to tenderMatmul(x, w) on every backend. At 8 bits,
- * G = 8 and alpha = 2 it holds up to K = 1040. A chunk whose codes are
- * all zero skips the GEMM: its product is the bias-correction row.
- * TenderScheme::prepare chooses between the two forms once, from the
- * weight's shape. The fold kernel is a plain register-tiled loop without
- * TENDER_PRAGMA_SIMD: GCC 12 with -march=native compiles its int16
+ * The golden walk (chunkAccumulateImplicit) is the oracle: it runs group
+ * by group with int64 accumulators, checks every accumulator against int32
+ * after each rescale and after the final group (TenderConfig::
+ * checkOverflow) and feeds TenderGemmStats. It serves the Serial backend,
+ * every stats request and every chunk outside the fold bound. It and the
+ * explicit kernel read the weight's codes one 128-column slice at a time,
+ * transposed in 32 x 32 tiles.
+ *
+ * On the pooled backends, with no stats requested, a chunk folds when its
+ * codes allow. Adjacent group scales are exactly alpha apart, so the shift
+ * between groups distributes over the sum:
+ *
+ *     A_{G-1} = sum_c (q_c * alpha^(G-1-g(c))) * w_c.
+ *
+ * Each code is multiplied by its group's alpha^(G-1-g) into int16, and one
+ * int16 dot-product GEMM with int32 accumulation against the N x K weight
+ * codes gives A_{G-1}, finished with the golden arithmetic. The pass that
+ * folds the codes also checks the per-chunk bound, foldedChunkFits: every
+ * folded code fits int16 and, per chunk row,
+ *
+ *     S = maxCode * sum_c |q_c * alpha^(G-1-g(c))| <= INT32_MAX.
+ *
+ * Why the fold is then bit-identical: the golden walk checks alpha * A_g
+ * after each rescale (g <= G-2) and A_{G-1} at the end, where
+ *
+ *     A_g = sum_{g' <= g} alpha^(g-g') * sum_{c in group g'} q_c * w_c.
+ *
+ * Each term of alpha * A_g carries alpha^(g+1-g') <= alpha^(G-1-g') (alpha
+ * >= 1) and |w_c| <= maxCode, so every checked accumulator, and every
+ * partial sum of the int32 dot product in any order, is at most S. So the
+ * fold is exact and none of the golden walk's overflow checks could have
+ * fired; a chunk outside the bound runs the golden walk, which still panics
+ * where its accumulator really overflows. A chunk whose codes are all zero
+ * (every one-row chunk under bias subtraction) skips the GEMM: its
+ * accumulator is zero. The fold kernel is a plain register-tiled loop
+ * without TENDER_PRAGMA_SIMD: GCC 12 with -march=native compiles its int16
  * reduction to dot-product instructions (vpdpwssd) on its own, and the
- * pragma in its usual place, on the inner loop, keeps the reduction
- * scalar.
+ * pragma in its usual place, on the inner loop, keeps the reduction scalar.
  */
 
 #ifndef TENDER_CORE_TENDER_GEMM_H
@@ -57,7 +67,9 @@
 
 namespace tender {
 
-/** Counters from a Tender GEMM (feed the tests and perf/energy models). */
+/** Counters from a Tender GEMM (feed the tests and perf/energy models). A
+ *  stats request runs the golden walk on every backend, so the counters
+ *  describe its group walk. */
 struct TenderGemmStats
 {
     int64_t macs = 0;          ///< integer multiply-accumulates
@@ -75,23 +87,20 @@ struct TenderGemmStats
  * Integer core of the implicit pipeline on one quantized chunk: returns
  * the final integer accumulator A_{G-1} (Eq. 2) for each output element.
  * This is the value the MSA produces before the VPU's final dequantization.
- * Single-threaded golden kernel; the pipeline substitutes a blocked
- * bit-identical variant under the threaded backend.
+ * The golden walk: single-threaded, the oracle every fold is checked
+ * against.
  */
 MatrixT<int64_t> chunkAccumulateImplicit(const QuantizedChunk &qc,
                                          const QuantizedWeight &qw,
                                          const TenderConfig &config,
                                          TenderGemmStats *stats = nullptr);
 
-/** Dequantize the accumulator and add the bias correction row. */
-Matrix finishChunk(const MatrixT<int64_t> &acc, const QuantizedChunk &qc,
-                   const QuantizedWeight &qw, const Matrix &bias_correction);
-
-/** As finishChunk, but writes into rows [r0, r0 + acc.rows()) of y — the
- *  pre-sliced output view the chunk pipeline hands each chunk task. */
-void finishChunkInto(const MatrixT<int64_t> &acc, const QuantizedChunk &qc,
-                     const QuantizedWeight &qw,
-                     const Matrix &bias_correction, Matrix &y, int r0);
+/** True when the chunk's folded product is exact and none of the golden
+ *  walk's overflow checks could fire: every folded code
+ *  |q_c * alpha^(G-1-g(c))| fits int16 and, per row, maxCode * sum_c
+ *  |folded code| fits int32 (see the file comment). A chunk whose codes
+ *  are all zero fits. */
+bool foldedChunkFits(const QuantizedChunk &qc, const TenderConfig &config);
 
 /** Bias-times-weight correction row (1 x N) for a chunk's metadata. */
 Matrix biasCorrectionRow(const ChunkMeta &meta, const Matrix &w);
@@ -116,20 +125,6 @@ Matrix tenderMatmul(const Matrix &x, const QuantizedWeight &qw,
                     TenderGemmStats *stats = nullptr,
                     const KernelContext *kernels = nullptr);
 
-/** True when the folded product is exact for a K-row weight under
- *  `config`: maxCode * alpha^(G-1) fits int16 and K * maxCode^2 *
- *  alpha^(G-1) fits int32 (see the file comment). */
-bool foldedProductFits(int k, const TenderConfig &config);
-
-/** The folded product against a weight quantized into columns: `cols`
- *  must be quantizeWeightColumns(w, config.bits), and
- *  foldedProductFits(w.rows(), config) must hold. Bit-identical to
- *  tenderMatmul(x, w, config) on every backend; `w` is read only for each
- *  chunk's bias-correction row. */
-Matrix tenderMatmul(const Matrix &x, const QuantizedColumns &cols,
-                    const Matrix &w, const TenderConfig &config,
-                    const KernelContext *kernels = nullptr);
-
 /** Same pipeline but with pre-calibrated per-chunk metadata. Chunks beyond
  *  the calibrated list reuse the final calibrated entry; each reuse is
  *  counted in TenderGemmStats::metaReuses. */
@@ -140,10 +135,8 @@ Matrix tenderMatmulCalibrated(const Matrix &x, const Matrix &w,
                               const KernelContext *kernels = nullptr);
 
 /** Explicit-requantization reference (Eq. 1): one integer GEMM per group,
- *  each dequantized with its own scale and accumulated in FP. Under the
- *  threaded backend the group partials run through the same blocked
- *  int16/int32 accumulate as the implicit path, bit-identical to the
- *  serial kernel. */
+ *  each dequantized with its own scale and accumulated in FP. Always the
+ *  golden kernel, parallel over chunks only. */
 Matrix tenderMatmulExplicit(const Matrix &x, const Matrix &w,
                             const TenderConfig &config,
                             const KernelContext *kernels = nullptr);

@@ -85,26 +85,9 @@ quantizeWeight(const Matrix &w, int bits)
     QuantizedWeight qw;
     qw.bits = bits;
     qw.colScale = columnScales(w, bits);
-    qw.codes = MatrixT<int16_t>(w.rows(), w.cols());
-    for (int r = 0; r < w.rows(); ++r) {
-        const float *row = w.rowPtr(r);
-        int16_t *codes = qw.codes.rowPtr(r);
-        for (int c = 0; c < w.cols(); ++c)
-            codes[c] = int16_t(
-                quantizeValue(row[c], qw.colScale[size_t(c)], bits));
-    }
-    return qw;
-}
-
-QuantizedColumns
-quantizeWeightColumns(const Matrix &w, int bits)
-{
-    QuantizedColumns qc;
-    qc.bits = bits;
-    qc.colScale = columnScales(w, bits);
-    qc.codes = MatrixT<int16_t>(w.cols(), w.rows());
+    qw.codes = MatrixT<int16_t>(w.cols(), w.rows());
     // A band of weight rows is quantized row-major into a small buffer,
-    // as quantizeWeight does, then scattered into the columns.
+    // then scattered into the columns.
     constexpr int kBand = 16;
     MatrixT<int16_t> band(kBand, w.cols());
     for (int r0 = 0; r0 < w.rows(); r0 += kBand) {
@@ -114,24 +97,24 @@ quantizeWeightColumns(const Matrix &w, int bits)
             int16_t *codes = band.rowPtr(i);
             for (int c = 0; c < w.cols(); ++c)
                 codes[c] = int16_t(
-                    quantizeValue(row[c], qc.colScale[size_t(c)], bits));
+                    quantizeValue(row[c], qw.colScale[size_t(c)], bits));
         }
         for (int c = 0; c < w.cols(); ++c) {
-            int16_t *codes = qc.codes.rowPtr(c) + r0;
+            int16_t *codes = qw.codes.rowPtr(c) + r0;
             for (int i = 0; i < rn; ++i)
                 codes[i] = band.rowPtr(i)[c];
         }
     }
-    return qc;
+    return qw;
 }
 
 Matrix
 dequantizeWeight(const QuantizedWeight &qw)
 {
-    Matrix out(qw.codes.rows(), qw.codes.cols());
+    Matrix out(qw.codes.cols(), qw.codes.rows());
     for (int r = 0; r < out.rows(); ++r)
         for (int c = 0; c < out.cols(); ++c)
-            out(r, c) = dequantizeValue(qw.codes(r, c),
+            out(r, c) = dequantizeValue(qw.codes(c, r),
                                         qw.colScale[size_t(c)]);
     return out;
 }

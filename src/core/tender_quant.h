@@ -4,11 +4,12 @@
  * (per-column, linear symmetric) for the Tender pipeline.
  *
  * Only activations are decomposed at runtime. A weight is quantized once
- * into a QuantizedWeight (K x N codes), or into QuantizedColumns (the same
- * codes stored N x K) for the folded product, and the GEMM pipeline
- * (core/tender_gemm.h) reads its codes in place on every call: the serving
- * runtime prepares each projection once per session through
- * GemmScheme::prepare.
+ * into a QuantizedWeight, its codes stored N x K, and the GEMM pipeline
+ * (core/tender_gemm.h) reads them in place on every call: the folded
+ * product as the right operand of its int16 dot-product GEMM, the golden
+ * kernels (Serial, stats requests and fallback chunks) one column slice
+ * at a time. The serving runtime prepares each projection once per
+ * session through GemmScheme::prepare.
  */
 
 #ifndef TENDER_CORE_TENDER_QUANT_H
@@ -28,22 +29,12 @@ struct QuantizedChunk
 };
 
 /** Per-column symmetric weight quantization (done once, offline). Codes
- *  are int16, wide enough for any width up to 16 bits, so the golden and
- *  the blocked GEMM kernels both read them without a per-call copy. */
+ *  are int16, wide enough for any width up to 16 bits, and stored N x K:
+ *  output column j's codes are contiguous over the K input channels
+ *  (row j), so every GEMM kernel reads them without a per-call copy. */
 struct QuantizedWeight
 {
-    MatrixT<int16_t> codes;
-    std::vector<float> colScale; ///< one scale per output column
-    int bits = 8;
-};
-
-/** QuantizedWeight's codes and column scales with the codes stored
- *  transposed: N x K, so output column j's codes are contiguous over the
- *  K input channels (row j). The folded Tender product reads them as the
- *  right operand of an int16 dot-product GEMM. */
-struct QuantizedColumns
-{
-    MatrixT<int16_t> codes; ///< N x K
+    MatrixT<int16_t> codes;      ///< N x K
     std::vector<float> colScale; ///< one scale per output column
     int bits = 8;
 };
@@ -59,14 +50,11 @@ QuantizedChunk quantizeChunk(const Matrix &chunk, const ChunkMeta &meta,
 /** Dequantize back to FP32 (adds the channel bias back). */
 Matrix dequantizeChunk(const QuantizedChunk &qc);
 
-/** Quantize weights per output column (2 <= bits <= 16). */
+/** Quantize a K x N weight per output column (2 <= bits <= 16), written
+ *  straight into the N x K layout. */
 QuantizedWeight quantizeWeight(const Matrix &w, int bits);
 
-/** quantizeWeight(w, bits) written straight into the N x K layout: the
- *  same codes and scales, with no K x N copy along the way. */
-QuantizedColumns quantizeWeightColumns(const Matrix &w, int bits);
-
-/** Dequantize weights. */
+/** Dequantize weights back to the K x N layout. */
 Matrix dequantizeWeight(const QuantizedWeight &qw);
 
 } // namespace tender

@@ -3,14 +3,11 @@
  * GemmScheme adapter for Tender so the accuracy harnesses can swap it in
  * next to the baseline quantization schemes.
  *
- * prepare() quantizes a weight once and picks its product form from the
- * weight's shape, once: inside the fold bound (foldedProductFits in
- * core/tender_gemm.h; every projection of the OPT-6.7B /16 serving
- * replica at 8 bits, G = 8, alpha = 2) it stores the codes N x K and runs
- * the folded int16 dot-product GEMM, else it stores them K x N and runs
- * matmul's group-walk kernels. Either form is bit-identical to
- * matmul(x, w), which, like stats requests and the explicit path, keeps
- * the group-walk kernels.
+ * prepare() quantizes a weight once into its N x K codes; each product
+ * then runs the same pipeline as matmul(x, w), bit for bit: on the pooled
+ * backends each chunk inside the per-chunk fold bound (core/tender_gemm.h)
+ * runs the folded int16 dot-product GEMM, and the Serial backend and every
+ * other chunk run the golden walk.
  */
 
 #ifndef TENDER_CORE_TENDER_SCHEME_H
@@ -78,30 +75,21 @@ class TenderScheme : public GemmScheme
       public:
         Prepared(const TenderScheme &scheme, const Matrix &w)
             : scheme_(scheme), w_(w),
-              folded_(foldedProductFits(w.rows(), scheme.config_))
+              qw_(quantizeWeight(w, scheme.config_.bits))
         {
-            // Only the chosen layout is kept: the codes are stored once.
-            if (folded_)
-                cols_ = quantizeWeightColumns(w, scheme.config_.bits);
-            else
-                qw_ = quantizeWeight(w, scheme.config_.bits);
         }
 
         Matrix
         matmul(const Matrix &x) const override
         {
-            const KernelContext *kc = &scheme_.kernels();
-            return folded_
-                ? tenderMatmul(x, cols_, w_, scheme_.config_, kc)
-                : tenderMatmul(x, qw_, w_, scheme_.config_, nullptr, kc);
+            return tenderMatmul(x, qw_, w_, scheme_.config_, nullptr,
+                                &scheme_.kernels());
         }
 
       private:
         const TenderScheme &scheme_;
         const Matrix &w_; ///< read for the per-chunk bias correction
-        bool folded_;
-        QuantizedColumns cols_; ///< N x K codes (folded product)
-        QuantizedWeight qw_;    ///< K x N codes (group-walk kernels)
+        QuantizedWeight qw_;
     };
 
     TenderConfig config_;

@@ -38,8 +38,8 @@ MatrixT<int64_t> gemmInt(const IntMatrix &a, const IntMatrix &b);
  *
  * This is the int8xint8->int32 kernel of the fused quantized-KV attention
  * path. Codes stay widened in their int32 pages (repacking would defeat
- * the zero-copy read), but the accumulate follows the blocked-kernel
- * discipline of core/tender_gemm: when the worst-case |sum| provably
+ * the zero-copy read), but the accumulate follows the discipline of
+ * core/tender_gemm's folded product: when the worst-case |sum| provably
  * fits, the inner product runs in an int32 accumulator (the modeled
  * 32-bit hardware accumulator); otherwise it accumulates in int64 and
  * *checks* the int32 narrowing rather than silently wrapping. Either way
@@ -81,8 +81,9 @@ void gemmIntRows(const IntMatrix &a, const IntMatrix &b, MatrixT<int64_t> &c,
                  int r0, int r1);
 
 /** True when one gemmInt8 inner product provably fits an int32
- *  accumulator at the panels' code magnitudes (the fastEligible
- *  analogue). Operands whose bound is negative are scanned. */
+ *  accumulator at the panels' code magnitudes (the analogue of
+ *  foldedChunkFits in core/tender_gemm.h). Operands whose bound is
+ *  negative are scanned. */
 bool gemmInt8NarrowOk(const IntMatrix &a, const IntMatrix &b,
                       int64_t abs_bound_a, int64_t abs_bound_b);
 

@@ -265,9 +265,13 @@ TEST(Integration, Int8AccumulatorSafetyBoundary)
     TenderConfig risky = safe;
     risky.numGroups = 26; // shift budget beyond 2^25 * max partial sum
     EXPECT_DEATH(tenderMatmul(x, w, risky), "overflow");
-    // A prepared weight outside the fold bound keeps the group walk and
-    // its overflow check.
-    const TenderScheme scheme(risky);
+    // On a pooled backend a prepared weight folds only chunks inside the
+    // per-chunk bound; this one falls back to the golden walk and its
+    // overflow check. One worker keeps the death test's fork free of
+    // pool threads.
+    KernelContext threaded(Backend::Threaded, 1);
+    TenderScheme scheme(risky);
+    scheme.setKernels(&threaded);
     EXPECT_DEATH(scheme.prepare(w)->matmul(x), "overflow");
 }
 

@@ -121,7 +121,7 @@ TEST(Msa, MatchesChunkAccumulateImplicit)
         for (int r = 0; r < 16; ++r)
             a_perm(r, idx) = qc.codes(r, c);
         for (int j = 0; j < 12; ++j)
-            b_perm(idx, j) = qw.codes(c, j);
+            b_perm(idx, j) = qw.codes(j, c); // codes are N x K
     }
     std::vector<int> sizes;
     for (int g = 0; g < meta.groups(); ++g)

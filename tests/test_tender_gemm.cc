@@ -63,14 +63,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TenderGemm, ExplicitBlockedAccumulateBitParity)
 {
-    // The explicit path shares the blocked int16/int32 group accumulate
-    // with the implicit path under the threaded backend (ROADMAP open
-    // item). Integer partials are exact and the per-element FP sequence
-    // (one add per group, bias row last) matches the golden kernel, so
-    // the outputs must be bit-identical — not merely close — for any
-    // worker count.
+    // The explicit kernel walks the weight one 128-column slice at a time
+    // and keeps the per-element FP sequence (one add per group, bias row
+    // last), so its threaded outputs must be bit-identical — not merely
+    // close — to the serial ones for any worker count.
     Rng rng(30);
-    // 80 rows x 200 cols exercises multiple row bands and column blocks.
+    // 80 rows x 200 cols spans several chunks and two column slices.
     Matrix x = outlierActivation(80, 64, rng);
     Matrix w = randomGaussian(64, 200, rng, 0.f, 0.05f);
     KernelContext serial(Backend::Serial);
@@ -387,13 +385,13 @@ constantColumns(int rows, int cols, Rng &rng)
     return m;
 }
 
-/** prepare(w)->matmul(x) against the per-call tenderMatmul(x, w), bit
- *  for bit, on every backend: a lone decode row, one whole chunk, a chunk
- *  plus a one-row tail, a chunk plus a three-row tail (rows left over
- *  from the folded kernel's 4-row tile), and two chunks, each with an
- *  outlier channel every 13 (so group 0 is occupied) and with constant
- *  columns (so every code is zero and the folded GEMM is skipped), plus
- *  any `extra` activations. */
+/** prepare(w)->matmul(x) and the per-call tenderMatmul(x, w) on every
+ *  backend against the Serial per-call product (the golden walk), bit for
+ *  bit: a lone decode row, one whole chunk, a chunk plus a one-row tail, a
+ *  chunk plus a three-row tail (rows left over from the folded kernel's
+ *  4-row tile), and two chunks, each with an outlier channel every 13 (so
+ *  group 0 is occupied) and with constant columns (so every code is zero
+ *  and the folded GEMM is skipped), plus any `extra` activations. */
 void
 expectPreparedMatchesPerCall(const Matrix &w, const TenderConfig &cfg,
                              Rng &rng,
@@ -404,30 +402,47 @@ expectPreparedMatchesPerCall(const Matrix &w, const TenderConfig &cfg,
         xs.push_back(outlierActivation(rows, w.rows(), rng));
         xs.push_back(constantColumns(rows, w.rows(), rng));
     }
+    KernelContext serial(Backend::Serial);
+    std::vector<Matrix> golden;
+    for (const Matrix &x : xs)
+        golden.push_back(tenderMatmul(x, w, cfg, nullptr, &serial));
     for (Backend backend :
          {Backend::Serial, Backend::Threaded, Backend::Packed}) {
         KernelContext kc(backend, 2);
         TenderScheme scheme(cfg);
         scheme.setKernels(&kc);
         const std::unique_ptr<PreparedWeight> prepared = scheme.prepare(w);
-        for (size_t i = 0; i < xs.size(); ++i)
-            EXPECT_TRUE(bitIdentical(prepared->matmul(xs[i]),
-                                     tenderMatmul(xs[i], w, cfg, nullptr,
-                                                  &kc)))
+        for (size_t i = 0; i < xs.size(); ++i) {
+            const Matrix per_call = tenderMatmul(xs[i], w, cfg, nullptr, &kc);
+            EXPECT_TRUE(bitIdentical(prepared->matmul(xs[i]), golden[i]) &&
+                        bitIdentical(per_call, golden[i]))
                 << backendName(backend) << " bits=" << cfg.bits
                 << " G=" << cfg.numGroups << " alpha=" << cfg.alpha
                 << " K=" << w.rows() << " x#" << i << " ("
                 << xs[i].rows() << " rows)";
+        }
     }
+}
+
+/** The fold bound's worst case at K channels: rows of alternating sign
+ *  keep every bias at zero, so every code is +-maxCode in group 0. */
+Matrix
+worstCaseActivation(int rows, int k)
+{
+    Matrix worst(rows, k);
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < k; ++c)
+            worst(r, c) = (r % 2) ? 1.f : -1.f;
+    return worst;
 }
 
 TEST(TenderScheme, PreparedWeightMatchesPerCallBitExact)
 {
-    // prepare() quantizes the weight once and picks the folded int16
-    // dot-product GEMM when the fold bound holds (G 1, or G 8 at alpha 2,
-    // at either width), else the group walk; either way every product
-    // must equal the per-call pipeline. N = 300 spans two 128-column
-    // blocks plus a partial one.
+    // Every product, prepared or per call, on every backend, must equal
+    // the golden walk: the pooled backends fold each chunk inside the
+    // per-chunk bound (G 1, or G 8 at alpha 2, at either width, always
+    // here) and walk the rest. N = 300 spans two 128-column slices plus a
+    // partial one.
     Rng rng(41);
     const Matrix w = randomGaussian(64, 300, rng, 0.f, 0.05f);
     for (int bits : {4, 8})
@@ -441,34 +456,49 @@ TEST(TenderScheme, PreparedWeightMatchesPerCallBitExact)
                 expectPreparedMatchesPerCall(w, cfg, rng);
             }
 
-    // One K on each side of the bound at 8 bits, G = 8, alpha = 2
-    // (K * 127^2 * 2^7 <= INT32_MAX up to K = 1040), with N = 130 not a
-    // multiple of the kernel's 4-column tile.
+    // The bound's worst case at 8 bits, G = 8, alpha = 2: every code is
+    // +-127 in group 0 and a constant weight codes to 127, so S =
+    // K * 127^2 * 2^7 and every output reaches it. It fits int32 up to
+    // K = 1040; N = 130 is not a multiple of the kernel's 4-column tile.
     TenderConfig serve;
     serve.rowChunk = 32;
-    EXPECT_TRUE(foldedProductFits(1040, serve));
-    EXPECT_FALSE(foldedProductFits(1041, serve));
-    for (int k : {1040, 1041}) {
-        const Matrix wk = randomGaussian(k, 130, rng, 0.f, 0.05f);
-        std::vector<Matrix> extra;
-        if (k == 1040) {
-            // The bound's worst case: rows of alternating sign keep every
-            // bias at zero, so every code is +-127 in group 0, and a
-            // constant weight codes to 127: each output reaches
-            // 1040 * 127^2 * 2^7, just inside int32.
-            Matrix worst(64, k);
-            for (int r = 0; r < worst.rows(); ++r)
-                for (int c = 0; c < k; ++c)
-                    worst(r, c) = (r % 2) ? 1.f : -1.f;
-            extra.push_back(worst);
-            expectPreparedMatchesPerCall(Matrix(k, 130, 0.5f), serve, rng,
-                                         extra);
-        }
-        expectPreparedMatchesPerCall(wk, serve, rng, extra);
-    }
+    const auto worst_chunk = [&](int k) {
+        const Matrix chunk = worstCaseActivation(serve.rowChunk, k);
+        return quantizeChunk(chunk, decomposeChunk(chunk, serve), serve.bits);
+    };
+    EXPECT_TRUE(foldedChunkFits(worst_chunk(1040), serve));
+    EXPECT_FALSE(foldedChunkFits(worst_chunk(1041), serve));
+    EXPECT_FALSE(foldedChunkFits(worst_chunk(4096), serve));
+    expectPreparedMatchesPerCall(Matrix(1040, 130, 0.5f), serve, rng,
+                                 {worstCaseActivation(64, 1040)});
+    // One channel more leaves int32: the golden walk rightly panics, and
+    // with the check off it returns the exact int64 value where an
+    // unbounded fold would wrap, so every backend must fall back.
+    TenderConfig unchecked = serve;
+    unchecked.checkOverflow = false;
+    expectPreparedMatchesPerCall(Matrix(1041, 130, 0.5f), unchecked, rng,
+                                 {worstCaseActivation(64, 1041)});
+    // One worker: a pooled backend whose child process starts no thread.
+    EXPECT_DEATH(
+        {
+            KernelContext threaded(Backend::Threaded, 1);
+            TenderScheme scheme(serve);
+            scheme.setKernels(&threaded);
+            const Matrix w1041(1041, 130, 0.5f);
+            scheme.prepare(w1041)->matmul(worstCaseActivation(32, 1041));
+        },
+        "overflow");
+
+    // Gaussian weights on both sides of the old shape bound (K 1040 and
+    // 1041) and at K = 4096, OPT-6.7B's hidden size. The worst-case
+    // activation falls back at 1041 and 4096 and, against these weights,
+    // stays inside int32, so the walk's checks pass.
+    for (int k : {1040, 1041, 4096})
+        expectPreparedMatchesPerCall(randomGaussian(k, 130, rng, 0.f, 0.05f),
+                                     serve, rng, {worstCaseActivation(64, k)});
 
     // The OPT-6.7B /16 serving replica's projection shapes: q/k/v/o and
-    // fc1 read K = 256, fc2 K = 1024, all inside the bound.
+    // fc1 read K = 256, fc2 K = 1024.
     for (const auto &[k, n] : {std::pair{256, 1024}, std::pair{1024, 256}})
         expectPreparedMatchesPerCall(randomGaussian(k, n, rng, 0.f, 0.05f),
                                      serve, rng);
