@@ -26,6 +26,16 @@
  * fallbacks. The prepared product must be bit-identical to the per-call
  * one on every backend (prepared_bitexact, gated).
  *
+ * The tender_segmented section times a serving step's projection as the
+ * decode engine runs it: one segmented product over every request's rows
+ * (PreparedWeight::matmulSegments) against the per-segment loop it
+ * replaced (the base-class default, one prepared product per segment), for
+ * a decode step (eight one-row segments) and a mixed step (a 256-row
+ * prefill beside seven decode rows) at the serving replica's weight
+ * shapes. Every segmented product must equal the per-segment loop bit for
+ * bit on the serial, threaded and packed backends (segmented_bitexact,
+ * gated).
+ *
  * Usage: bench_gemm_json [--smoke] [m k n workers out.json]
  * Defaults: 512 4096 4096 8 BENCH_gemm.json (the ISSUE-1 workload);
  * --smoke shrinks to 64x256x256 with 2 workers for the CI smoke job.
@@ -168,6 +178,86 @@ timePrepared(const tender::TenderConfig &cfg,
     return rows;
 }
 
+/** Bitwise equality: operator== would also accept -0.0 for +0.0. */
+bool
+bitIdentical(const tender::Matrix &a, const tender::Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+        std::memcmp(a.data().data(), b.data().data(),
+                    a.size() * sizeof(float)) == 0;
+}
+
+/** One tender_segmented row: median µs of one step's projection, as the
+ *  per-segment loop and as one segmented product. */
+struct SegmentedTiming
+{
+    const char *step;
+    int segments, rows, k, n;
+    double perSegmentUs, segmentedUs;
+};
+
+/** Time the per-segment loop against the segmented product of a decode
+ *  step (eight one-row segments) and a mixed step (one 256-row segment and
+ *  seven one-row ones) at the replica's weight shapes (q/k/v/o 256x256,
+ *  fc1 256x1024, fc2 1024x256), on `timed`, alternating the two `reps`
+ *  times each; *bitexact turns false unless every segmented product
+ *  equals the per-segment loop on every context in `check`. */
+std::vector<SegmentedTiming>
+timeSegmented(const tender::TenderConfig &cfg,
+              const tender::KernelContext &timed,
+              const std::vector<const tender::KernelContext *> &check,
+              int reps, bool *bitexact)
+{
+    using namespace tender;
+    struct Step
+    {
+        const char *name;
+        std::vector<int> segments;
+    };
+    const Step steps[] = {{"decode", {1, 1, 1, 1, 1, 1, 1, 1}},
+                          {"mixed", {256, 1, 1, 1, 1, 1, 1, 1}}};
+    const int shapes[][2] = {{256, 256}, {256, 1024}, {1024, 256}};
+    Rng rng(11);
+    std::vector<SegmentedTiming> rows;
+    for (const auto &shape : shapes) {
+        const int k = shape[0], n = shape[1];
+        const Matrix w = randomGaussian(k, n, rng, 0.f, 0.05f);
+        for (const Step &step : steps) {
+            int m = 0;
+            for (int r : step.segments)
+                m += r;
+            const Matrix x = randomGaussian(m, k, rng);
+            for (const KernelContext *kc : check) {
+                TenderScheme scheme(cfg);
+                scheme.setKernels(kc);
+                const auto prepared = scheme.prepare(w);
+                if (!bitIdentical(
+                        prepared->matmulSegments(x, step.segments),
+                        prepared->PreparedWeight::matmulSegments(
+                            x, step.segments)))
+                    *bitexact = false;
+            }
+            TenderScheme scheme(cfg);
+            scheme.setKernels(&timed);
+            const auto prepared = scheme.prepare(w);
+            std::vector<double> per_segment, segmented;
+            for (int r = 0; r < reps; ++r) {
+                auto t0 = Clock::now();
+                const Matrix a = prepared->PreparedWeight::matmulSegments(
+                    x, step.segments);
+                auto t1 = Clock::now();
+                const Matrix b = prepared->matmulSegments(x, step.segments);
+                auto t2 = Clock::now();
+                per_segment.push_back(seconds(t0, t1) * 1e6);
+                segmented.push_back(seconds(t1, t2) * 1e6);
+            }
+            rows.push_back({step.name, int(step.segments.size()), m, k, n,
+                            median(per_segment), median(segmented)});
+        }
+    }
+    return rows;
+}
+
 } // namespace
 
 int
@@ -303,6 +393,20 @@ main(int argc, char **argv)
     std::printf("prepared vs per-call: %s\n",
                 prepared_bitexact ? "bit-exact" : "MISMATCH");
 
+    // ---- Segmented serving steps ------------------------------------------
+    bool segmented_bitexact = true;
+    const std::vector<SegmentedTiming> segmented_rows =
+        timeSegmented(serve_cfg, serving, {&serial, &threaded, &packed},
+                      prepared_reps, &segmented_bitexact);
+    for (const SegmentedTiming &s : segmented_rows)
+        std::printf("tender segmented %s step (%d segments, %d rows) "
+                    "%dx%d: per-segment %.1f us, segmented %.1f us "
+                    "(%.2fx)\n",
+                    s.step, s.segments, s.rows, s.k, s.n, s.perSegmentUs,
+                    s.segmentedUs, s.perSegmentUs / s.segmentedUs);
+    std::printf("segmented vs per-segment: %s\n",
+                segmented_bitexact ? "bit-exact" : "MISMATCH");
+
     FILE *f = std::fopen(out_path, "w");
     if (!f) {
         std::fprintf(stderr, "cannot open %s\n", out_path);
@@ -379,8 +483,25 @@ main(int argc, char **argv)
                      p.perCallUs / p.preparedUs,
                      i + 1 < prepared_rows.size() ? "," : "");
     }
-    std::fprintf(f, "  ], \"prepared_bitexact\": %s}\n",
+    std::fprintf(f, "  ], \"prepared_bitexact\": %s},\n",
                  prepared_bitexact ? "true" : "false");
+    std::fprintf(f, "  \"tender_segmented\": {\"backend\": \"%s\", "
+                 "\"workers\": %d, \"row_chunk\": %d, \"reps\": %d, "
+                 "\"stat\": \"median\", \"steps\": [\n",
+                 backendName(serving.backend()).c_str(), serving.workers(),
+                 serve_cfg.rowChunk, prepared_reps);
+    for (size_t i = 0; i < segmented_rows.size(); ++i) {
+        const SegmentedTiming &s = segmented_rows[i];
+        std::fprintf(f, "    {\"step\": \"%s\", \"segments\": %d, "
+                     "\"rows\": %d, \"k\": %d, \"n\": %d, "
+                     "\"per_segment_us\": %.1f, \"segmented_us\": %.1f, "
+                     "\"speedup\": %.3f}%s\n",
+                     s.step, s.segments, s.rows, s.k, s.n, s.perSegmentUs,
+                     s.segmentedUs, s.perSegmentUs / s.segmentedUs,
+                     i + 1 < segmented_rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ], \"segmented_bitexact\": %s}\n",
+                 segmented_bitexact ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path);
@@ -389,6 +510,7 @@ main(int argc, char **argv)
     // kernels must be exact; any violation fails the bench job outright.
     const bool ok = gemm_max_abs_diff == 0.0 && tender_nmse == 0.0 &&
         simd_gemm_nmse >= 0.0 && simd_gemm_nmse <= simd_gemm_nmse_bound &&
-        int8_bitexact && tender_packed_nmse == 0.0 && prepared_bitexact;
+        int8_bitexact && tender_packed_nmse == 0.0 && prepared_bitexact &&
+        segmented_bitexact;
     return ok ? 0 : 1;
 }

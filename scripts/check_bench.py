@@ -24,6 +24,10 @@ recorded correctness field regresses:
     tender_prepared.shapes[*].fold_fallback_chunks present, and at least
         one shape with k > 1040 (past the old fold shape bound), so the
         prepared gate keeps covering the shapes the group walk served
+    tender_segmented.segmented_bitexact   a serving step's segmented
+        product (one pass over every request's rows, chunks restarting at
+        each segment) equals the per-segment loop bit for bit on the
+        serial, threaded and packed backends
 
   BENCH_decode.json
     correctness.fp32_decode_bit_exact     paged fp32 KV decode == prefill
@@ -146,10 +150,16 @@ def check_gemm(path):
         fail(f"{path}: tender_prepared has no shape with k > 1040 (the "
              "prepared gate must cover the shapes past the old fold "
              "bound)")
+    segmented = doc["tender_segmented"]["segmented_bitexact"]
+    if segmented is not True:
+        fail(f"{path}: tender_segmented.segmented_bitexact is {segmented} "
+             "(a segmented product must be bit-identical to multiplying "
+             "each segment on its own)")
     print(f"check_bench: {path}: gemm bit-parity OK; packed arm "
           f"({doc.get('packed_backend', '?')}, simd {doc.get('simd', '?')}) "
           f"simd_gemm_nmse {simd_nmse:.3g} <= {simd_bound:.3g}, int8 "
-          "bit-exact, tender packed bit-exact, prepared weights bit-exact")
+          "bit-exact, tender packed bit-exact, prepared weights and "
+          "segmented steps bit-exact")
 
 
 def check_decode(path):

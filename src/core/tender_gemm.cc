@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "quant/quantizer.h"
 
@@ -110,24 +111,22 @@ checkAccumulator(const MatrixT<int64_t> &acc, int j0, int j1,
     }
 }
 
-/** Dequantize a chunk's accumulator and add the bias-correction row, into
- *  rows [r0, r0 + acc.rows()) of y. An int32 and an int64 holding the
- *  same value convert to the same double, so the fold finishes
- *  bit-identically to the golden walk. */
+/** Dequantize a chunk's accumulator into rows [r0, r0 + acc.rows()) of
+ *  y; the stacked pass adds the bias-correction rows afterwards. An int32
+ *  and an int64 holding the same value convert to the same double, so the
+ *  fold finishes bit-identically to the golden walk. */
 template <class Acc>
 void
-finishChunkInto(const MatrixT<Acc> &acc, const ChunkMeta &meta,
-                const std::vector<float> &col_scale,
-                const Matrix &bias_correction, Matrix &y, int r0)
+dequantizeInto(const MatrixT<Acc> &acc, const ChunkMeta &meta,
+               const std::vector<float> &col_scale, Matrix &y, int r0)
 {
     const float s_last = meta.scale[size_t(meta.groups() - 1)];
-    const float *corr = bias_correction.rowPtr(0);
     for (int r = 0; r < acc.rows(); ++r) {
         const Acc *arow = acc.rowPtr(r);
         float *yrow = y.rowPtr(r0 + r);
         for (int j = 0; j < acc.cols(); ++j)
             yrow[j] = float(double(arow[j]) * double(s_last) *
-                            double(col_scale[size_t(j)])) + corr[j];
+                            double(col_scale[size_t(j)]));
     }
 }
 
@@ -173,23 +172,6 @@ chunkAccumulateImplicit(const QuantizedChunk &qc, const QuantizedWeight &qw,
             int64_t(n);
     }
     return acc;
-}
-
-Matrix
-biasCorrectionRow(const ChunkMeta &meta, const Matrix &w)
-{
-    TENDER_CHECK(meta.channels() == w.rows());
-    Matrix row(1, w.cols(), 0.f);
-    float *out = row.rowPtr(0);
-    for (int c = 0; c < w.rows(); ++c) {
-        const double b = meta.bias[size_t(c)];
-        if (b == 0.0)
-            continue;
-        const float *wrow = w.rowPtr(c);
-        for (int j = 0; j < w.cols(); ++j)
-            out[j] += float(b * double(wrow[j]));
-    }
-    return row;
 }
 
 namespace {
@@ -311,48 +293,175 @@ foldChunkCodes(const QuantizedChunk &qc, const TenderConfig &config,
 }
 
 // ---------------------------------------------------------------------------
+// Bias correction: one stacked pass for every chunk of a product.
+// ---------------------------------------------------------------------------
+
+/** Most chunks one task of the stacked pass corrects, so that its tile
+ *  (chunks x one column slice of fp32 sums) stays in L1. */
+constexpr int kMaxCorrectionChunks = 16;
+
+/** One tile of the stacked pass: rows `chunks` x `cols` of `tile` (row
+ *  stride `cols`) get, for chunk i with per-channel biases bias[i * ldb +
+ *  c] and columns w[c * ldw + j],
+ *
+ *      tile(i, j) = sum_c float(b_ic * double(w(c, j))),
+ *
+ *  summed in fp32 over the k channels in ascending order, zero biases
+ *  skipped, with b a widened float (the expression shape the file comment
+ *  describes). Each weight row is read once for all of the tile's chunks.
+ *  A full column slice passes its width as kCols, so its row loop
+ *  compiles to a fixed run of vector FMAs; kCols = 0 reads `cols`. */
+template <int kCols>
+void
+correctionTile(const float *bias, int ldb, int chunks, const float *w,
+               int ldw, int k, int cols, float *tile)
+{
+    const int width = kCols > 0 ? kCols : cols;
+    std::fill(tile, tile + size_t(chunks) * size_t(width), 0.f);
+    for (int c = 0; c < k; ++c) {
+        const float *wrow = w + size_t(c) * size_t(ldw);
+        for (int i = 0; i < chunks; ++i) {
+            const double b = bias[size_t(i) * size_t(ldb) + size_t(c)];
+            if (b == 0.0)
+                continue;
+            float *out = tile + size_t(i) * size_t(width);
+            for (int j = 0; j < width; ++j)
+                out[j] += float(b * double(wrow[j]));
+        }
+    }
+}
+
+/** Add every chunk's bias-correction row to its output rows: chunk i
+ *  (rows ranges[i] of y, per-channel biases in row i of `biases`) gets
+ *  its correctionTile row. Tasks are (chunk block x column slice) tiles,
+ *  with enough chunk blocks to fill the pool however few the column
+ *  slices. Any partition gives the same bits, because each output
+ *  element's channel sum stays in one task, in ascending channel order. */
+void
+addBiasCorrections(const Matrix &biases,
+                   const std::vector<std::pair<int, int>> &ranges,
+                   const Matrix &w, const KernelContext &kc, Matrix &y)
+{
+    const int chunks = biases.rows();
+    const int k = w.rows();
+    const int n = w.cols();
+    const int slices = (n + kColSlice - 1) / kColSlice;
+    const int wanted =
+        std::clamp((kc.workers() + slices - 1) / slices, 1, chunks);
+    const int per_block = std::min((chunks + wanted - 1) / wanted,
+                                   kMaxCorrectionChunks);
+    const int blocks = (chunks + per_block - 1) / per_block;
+    kc.parallelFor(0, int64_t(blocks) * slices, 1,
+                   [&](int64_t t0, int64_t t1) {
+        std::vector<float> tile(size_t(per_block) * size_t(kColSlice));
+        for (int64_t t = t0; t < t1; ++t) {
+            const int i0 = int(t / slices) * per_block;
+            const int i1 = std::min(i0 + per_block, chunks);
+            const int j0 = int(t % slices) * kColSlice;
+            const int jw = std::min(j0 + kColSlice, n) - j0;
+            (jw == kColSlice ? correctionTile<kColSlice>
+                             : correctionTile<0>)(biases.rowPtr(i0), k,
+                                                  i1 - i0, w.rowPtr(0) + j0,
+                                                  n, k, jw, tile.data());
+            for (int i = i0; i < i1; ++i) {
+                const float *corr = tile.data() + size_t(i - i0) * size_t(jw);
+                for (int r = ranges[size_t(i)].first;
+                     r < ranges[size_t(i)].second; ++r) {
+                    float *yrow = y.rowPtr(r) + j0;
+                    for (int j = 0; j < jw; ++j)
+                        yrow[j] += corr[j];
+                }
+            }
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Shared chunk pipeline.
 // ---------------------------------------------------------------------------
 
-/** Run body(ci) for every chunk index of `ranges`. Chunks are the primary
+/** Run body(ci) for every chunk index in `chunks`. Chunks are the primary
  *  parallel axis; a body with its own inner (column-sliced) parallel axis
  *  runs chunk by chunk when chunks alone cannot fill the pool, so the
  *  inner fan-out gets the workers (nested calls from chunk tasks run
  *  inline). */
 template <class Body>
 void
-forEachChunk(const std::vector<std::pair<int, int>> &ranges,
-             bool inner_axis, const KernelContext &kc, const Body &body)
+forEachChunk(const std::vector<size_t> &chunks, bool inner_axis,
+             const KernelContext &kc, const Body &body)
 {
-    if (!inner_axis || int64_t(ranges.size()) >= int64_t(kc.workers())) {
-        kc.parallelFor(0, int64_t(ranges.size()), 1,
+    if (!inner_axis || int64_t(chunks.size()) >= int64_t(kc.workers())) {
+        kc.parallelFor(0, int64_t(chunks.size()), 1,
                        [&](int64_t c0, int64_t c1) {
-            for (int64_t ci = c0; ci < c1; ++ci)
-                body(size_t(ci));
+            for (int64_t i = c0; i < c1; ++i)
+                body(chunks[size_t(i)]);
         });
     } else {
-        for (size_t ci = 0; ci < ranges.size(); ++ci)
+        for (size_t ci : chunks)
             body(ci);
     }
 }
 
-enum class RequantMode { Implicit, Explicit };
-
-void
-addRowsInto(const Matrix &row, Matrix &y, int r0, int rows)
+/** Chunk row ranges over a stack of segments of x's `rows` rows: chunk
+ *  boundaries restart at every segment boundary, so each segment's chunks
+ *  are exactly those of a product of its rows alone. */
+std::vector<std::pair<int, int>>
+segmentChunkRanges(const std::vector<int> &segment_rows, int rows,
+                   int row_chunk)
 {
-    for (int r = 0; r < rows; ++r)
-        for (int j = 0; j < y.cols(); ++j)
-            y(r0 + r, j) += row(0, j);
+    std::vector<std::pair<int, int>> ranges;
+    int row0 = 0;
+    for (int seg : segment_rows) {
+        TENDER_REQUIRE(seg > 0, "a segment needs rows, got " << seg);
+        for (const auto &[r0, r1] : chunkRanges(seg, row_chunk))
+            ranges.emplace_back(row0 + r0, row0 + r1);
+        row0 += seg;
+    }
+    TENDER_REQUIRE(row0 == rows, "segments cover " << row0 << " of "
+                                 << rows << " rows");
+    return ranges;
 }
+
+/** The metadata a one-row chunk shares with every other one-row chunk
+ *  apart from its bias, or nothing when such chunks' codes are not all
+ *  zero. Under bias subtraction a row v is its own bias (envelopeBias(v,
+ *  v) == v for |v| <= FLT_MAX / 2), so each centered value is zero, TMax
+ *  is zero and every channel lands in group G-1, whatever the row; while
+ *  that group's scale is positive, every code is zero. Without bias
+ *  subtraction the row itself is quantized. */
+std::optional<ChunkMeta>
+oneRowMeta(int channels, const TenderConfig &config)
+{
+    if (!config.biasSubtract)
+        return std::nullopt;
+    ChunkMeta meta = decomposeChunk(Matrix(1, channels, 0.f), config);
+    if (!(meta.scale.back() > 0.f))
+        return std::nullopt;
+    return meta;
+}
+
+/** True when envelopeBias(v, v) == v for every value of the row: |v| <=
+ *  FLT_MAX / 2, so v + v cannot overflow. NaN and +-inf fail too, and
+ *  take the general path, which keeps their result. */
+bool
+rowIsItsBias(const float *row, int channels)
+{
+    constexpr float kHalfMax = std::numeric_limits<float>::max() / 2;
+    bool ok = true;
+    for (int c = 0; c < channels; ++c)
+        ok = ok && std::abs(row[c]) <= kHalfMax;
+    return ok;
+}
+
+enum class RequantMode { Implicit, Explicit };
 
 /** Eq. 1 body for one chunk, accumulating straight into the output view:
  *  one integer GEMM per group, dequantized with the group scale and added
- *  in FP (groups ascending, bias-correction row last), one column slice
- *  at a time. */
+ *  in FP (groups ascending; the stacked pass adds the bias-correction row
+ *  last), one column slice at a time. */
 void
 processChunkExplicit(const QuantizedChunk &qc, const QuantizedWeight &qw,
-                     const Matrix &w, Matrix &y, int r0)
+                     Matrix &y, int r0)
 {
     const ChunkMeta &meta = qc.meta;
     const int rows = qc.codes.rows();
@@ -378,14 +487,15 @@ processChunkExplicit(const QuantizedChunk &qc, const QuantizedWeight &qw,
             }
         }
     }
-    addRowsInto(biasCorrectionRow(meta, w), y, r0, rows);
 }
 
-/** The chunk pipeline over a weight quantized beforehand: `qw` is
- *  quantizeWeight(w, config.bits), and `w` is read only for each chunk's
- *  bias-correction row. */
+/** The chunk pipeline over the chunks `ranges` of x's rows and a weight
+ *  quantized beforehand: `qw` is quantizeWeight(w, config.bits), and `w`
+ *  is read only by the bias correction. */
 Matrix
-runChunkPipeline(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
+runChunkPipeline(const Matrix &x,
+                 const std::vector<std::pair<int, int>> &ranges,
+                 const QuantizedWeight &qw, const Matrix &w,
                  const std::vector<ChunkMeta> *metas,
                  const TenderConfig &config, RequantMode mode,
                  TenderGemmStats *stats, const KernelContext &kc)
@@ -397,11 +507,33 @@ runChunkPipeline(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
     // the golden walk's rescales and peaks, so a stats request walks.
     const bool fold = mode == RequantMode::Implicit && !stats &&
         kc.backend() != Backend::Serial;
+    const int k = w.rows();
     const int n = w.cols();
 
     Matrix y(x.rows(), n, 0.f);
-    const auto ranges = chunkRanges(x.rows(), config.rowChunk);
+    Matrix biases(int(ranges.size()), k); // per chunk, for the correction
     std::vector<TenderGemmStats> local(ranges.size());
+
+    // On the fold's domain with dynamic metadata, a one-row chunk whose
+    // row is its own bias skips decompose, quantize and fold: its codes
+    // are zero (oneRowMeta), so its accumulator is zero and its product
+    // is its bias-correction row.
+    const bool one_row_chunks =
+        std::any_of(ranges.begin(), ranges.end(),
+                    [](const auto &r) { return r.second - r.first == 1; });
+    const std::optional<ChunkMeta> row_meta = fold && !metas &&
+            one_row_chunks ? oneRowMeta(k, config) : std::nullopt;
+    const MatrixT<int32_t> zero_acc(row_meta ? 1 : 0, n, 0);
+    std::vector<size_t> decomposed;
+    for (size_t ci = 0; ci < ranges.size(); ++ci) {
+        const auto [r0, r1] = ranges[ci];
+        if (!row_meta || r1 - r0 != 1 || !rowIsItsBias(x.rowPtr(r0), k)) {
+            decomposed.push_back(ci);
+            continue;
+        }
+        std::copy(x.rowPtr(r0), x.rowPtr(r0) + k, biases.rowPtr(int(ci)));
+        dequantizeInto(zero_acc, *row_meta, qw.colScale, y, r0);
+    }
 
     auto processOne = [&](size_t ci) {
         const auto [r0, r1] = ranges[ci];
@@ -421,19 +553,21 @@ runChunkPipeline(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
         } else {
             meta = decomposeChunk(chunk, config);
         }
+        TENDER_CHECK(meta.bias.size() == size_t(k));
+        std::copy(meta.bias.begin(), meta.bias.end(),
+                  biases.rowPtr(int(ci)));
         const QuantizedChunk qc = quantizeChunk(chunk, meta, config.bits);
         ++local[ci].chunks;
         if (mode == RequantMode::Explicit) {
-            processChunkExplicit(qc, qw, w, y, r0);
+            processChunkExplicit(qc, qw, y, r0);
             return;
         }
-        const Matrix correction = biasCorrectionRow(meta, w);
         MatrixT<int16_t> folded;
         const Fold kind = fold ? foldChunkCodes(qc, config, folded)
                                : Fold::Walk;
         if (kind == Fold::Walk) {
-            finishChunkInto(chunkAccumulateImplicit(qc, qw, config, ls),
-                            meta, qw.colScale, correction, y, r0);
+            dequantizeInto(chunkAccumulateImplicit(qc, qw, config, ls), meta,
+                           qw.colScale, y, r0);
             return;
         }
         MatrixT<int32_t> acc(r1 - r0, n, 0);
@@ -445,12 +579,14 @@ runChunkPipeline(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
                                   std::min(int(b + 1) * kColSlice, n), acc);
             });
         }
-        finishChunkInto(acc, meta, qw.colScale, correction, y, r0);
+        dequantizeInto(acc, meta, qw.colScale, y, r0);
     };
 
     // The fold has an inner (column-sliced) parallel axis; the golden
     // bodies always parallelize over chunks, however few.
-    forEachChunk(ranges, fold, kc, processOne);
+    if (!decomposed.empty())
+        forEachChunk(decomposed, fold, kc, processOne);
+    addBiasCorrections(biases, ranges, w, kc, y);
 
     int64_t reuses = 0;
     for (const TenderGemmStats &s : local)
@@ -497,8 +633,21 @@ tenderMatmul(const Matrix &x, const QuantizedWeight &qw, const Matrix &w,
              const KernelContext *kernels)
 {
     const KernelContext &kc = kernels ? *kernels : defaultKernels();
-    return runChunkPipeline(x, qw, w, nullptr, config, RequantMode::Implicit,
-                            stats, kc);
+    return runChunkPipeline(x, chunkRanges(x.rows(), config.rowChunk), qw,
+                            w, nullptr, config, RequantMode::Implicit, stats,
+                            kc);
+}
+
+Matrix
+tenderMatmulSegments(const Matrix &x, const std::vector<int> &segmentRows,
+                     const QuantizedWeight &qw, const Matrix &w,
+                     const TenderConfig &config, TenderGemmStats *stats,
+                     const KernelContext *kernels)
+{
+    const KernelContext &kc = kernels ? *kernels : defaultKernels();
+    return runChunkPipeline(
+        x, segmentChunkRanges(segmentRows, x.rows(), config.rowChunk), qw, w,
+        nullptr, config, RequantMode::Implicit, stats, kc);
 }
 
 Matrix
@@ -509,7 +658,8 @@ tenderMatmulCalibrated(const Matrix &x, const Matrix &w,
 {
     TENDER_REQUIRE(!metas.empty(), "calibrated path needs metadata");
     const KernelContext &kc = kernels ? *kernels : defaultKernels();
-    return runChunkPipeline(x, quantizeWeight(w, config.bits), w, &metas,
+    return runChunkPipeline(x, chunkRanges(x.rows(), config.rowChunk),
+                            quantizeWeight(w, config.bits), w, &metas,
                             config, RequantMode::Implicit, stats, kc);
 }
 
@@ -519,7 +669,8 @@ tenderMatmulExplicit(const Matrix &x, const Matrix &w,
                      const KernelContext *kernels)
 {
     const KernelContext &kc = kernels ? *kernels : defaultKernels();
-    return runChunkPipeline(x, quantizeWeight(w, config.bits), w, nullptr,
+    return runChunkPipeline(x, chunkRanges(x.rows(), config.rowChunk),
+                            quantizeWeight(w, config.bits), w, nullptr,
                             config, RequantMode::Explicit, nullptr, kc);
 }
 

@@ -10,13 +10,18 @@
  * avoids. Both are exposed so tests can prove them equivalent.
  *
  * All entry points share one chunk pipeline (decompose -> quantize ->
- * accumulate -> finish into the chunk's output rows) over a weight
- * quantized into one layout, N x K codes (core/tender_quant.h): the
- * fp32-weight entry points quantize it first, and the QuantizedWeight
- * overload of tenderMatmul reads a weight quantized once up front,
- * bit-identical to the per-call path. Chunks are the primary parallel
- * axis over the KernelContext's pool: Tender's row-chunk decomposition
- * makes them independent by construction.
+ * accumulate -> dequantize into the chunk's output rows -> add the chunk's
+ * bias-correction row) over a weight quantized into one layout, N x K
+ * codes (core/tender_quant.h): the fp32-weight entry points quantize it
+ * first, and the QuantizedWeight overloads read a weight quantized once up
+ * front, bit-identical to the per-call path. Chunks are the primary
+ * parallel axis over the KernelContext's pool: Tender's row-chunk
+ * decomposition makes them independent by construction. A segmented
+ * product (tenderMatmulSegments) runs a stack of independent inputs, such
+ * as a decode step's requests, as one pass: chunk boundaries restart at
+ * every segment boundary, so each segment's metadata is a function of its
+ * own rows and its output rows equal a product of that segment alone, bit
+ * for bit.
  *
  * The golden walk (chunkAccumulateImplicit) is the oracle: it runs group
  * by group with int64 accumulators, checks every accumulator against int32
@@ -51,11 +56,36 @@
  * fold is exact and none of the golden walk's overflow checks could have
  * fired; a chunk outside the bound runs the golden walk, which still panics
  * where its accumulator really overflows. A chunk whose codes are all zero
- * (every one-row chunk under bias subtraction) skips the GEMM: its
- * accumulator is zero. The fold kernel is a plain register-tiled loop
- * without TENDER_PRAGMA_SIMD: GCC 12 with -march=native compiles its int16
- * reduction to dot-product instructions (vpdpwssd) on its own, and the
- * pragma in its usual place, on the inner loop, keeps the reduction scalar.
+ * skips the GEMM: its accumulator is zero. The fold kernel is a plain
+ * register-tiled loop without TENDER_PRAGMA_SIMD: GCC 12 with
+ * -march=native compiles its int16 reduction to dot-product instructions
+ * (vpdpwssd) on its own, and the pragma in its usual place, on the inner
+ * loop, keeps the reduction scalar.
+ *
+ * One-row chunks. Under bias subtraction a one-row chunk is its own bias
+ * (envelopeBias(v, v) == v for |v| <= FLT_MAX / 2), so every code is zero
+ * and its product is its bias-correction row: a Tender decode step adds no
+ * quantization error. On the fold's domain (pooled backends, no stats,
+ * implicit path, dynamic metadata, biasSubtract on) such a chunk skips
+ * decompose, quantize and fold; a row holding NaN, +-inf or |v| > FLT_MAX
+ * / 2 takes the general path, which keeps its result.
+ *
+ * Bias correction. One stacked pass gives every chunk of a product its
+ * correction row, corr(j) = sum_c b_c * w(c, j), in fp32 over the channels
+ * in ascending order, zero biases skipped, each term written float(b *
+ * double(w(c, j))) with b a widened float. It reads each weight row once
+ * for a block of chunks and splits over (chunk block x column slice)
+ * tasks; each output element's sum stays in one task, so every partition
+ * and worker count gives the same bits. How a term rounds depends on the
+ * build. The double product of two floats is exact, so GCC narrows it to
+ * an fp32 multiply; with -march=native (TENDER_NATIVE_ARCH, the default)
+ * on an FMA-capable host it then fuses that multiply with the running sum
+ * into one FMA, rounding once per term, while a portable build
+ * (-DTENDER_NATIVE_ARCH=OFF) rounds the product and the sum separately.
+ * Each build is deterministic, but the two round differently, so
+ * bit-exactness holds within one build, not across them. Keep the
+ * expression shape: a rewrite whose product read a double copy of the
+ * weight row compiled unfused and changed the native results.
  */
 
 #ifndef TENDER_CORE_TENDER_GEMM_H
@@ -102,9 +132,6 @@ MatrixT<int64_t> chunkAccumulateImplicit(const QuantizedChunk &qc,
  *  are all zero fits. */
 bool foldedChunkFits(const QuantizedChunk &qc, const TenderConfig &config);
 
-/** Bias-times-weight correction row (1 x N) for a chunk's metadata. */
-Matrix biasCorrectionRow(const ChunkMeta &meta, const Matrix &w);
-
 /**
  * Full Tender GEMM with dynamic (tensor-derived) decomposition:
  * chunk rows, decompose, quantize, implicit-requantize, dequantize.
@@ -118,12 +145,24 @@ Matrix tenderMatmul(const Matrix &x, const Matrix &w,
 /** tenderMatmul against a weight quantized beforehand: `qw` must be
  *  quantizeWeight(w, config.bits). Runs the same pipeline without the
  *  per-call weight quantization, so the result is bit-identical to
- *  tenderMatmul(x, w, ...); `w` is read only for each chunk's
- *  bias-correction row. */
+ *  tenderMatmul(x, w, ...); `w` is read only by the bias correction. */
 Matrix tenderMatmul(const Matrix &x, const QuantizedWeight &qw,
                     const Matrix &w, const TenderConfig &config,
                     TenderGemmStats *stats = nullptr,
                     const KernelContext *kernels = nullptr);
+
+/** tenderMatmul over a stack of independent segments: x's rows are the
+ *  segments' rows back to back, segmentRows[i] > 0 rows each, summing to
+ *  x.rows(). Chunk boundaries restart at every segment boundary, so each
+ *  segment's output rows are bit-identical to tenderMatmul(segment, qw, w,
+ *  ...); all chunks of all segments run as one pass, sharing one stacked
+ *  bias-correction pass. */
+Matrix tenderMatmulSegments(const Matrix &x,
+                            const std::vector<int> &segmentRows,
+                            const QuantizedWeight &qw, const Matrix &w,
+                            const TenderConfig &config,
+                            TenderGemmStats *stats = nullptr,
+                            const KernelContext *kernels = nullptr);
 
 /** Same pipeline but with pre-calibrated per-chunk metadata. Chunks beyond
  *  the calibrated list reuse the final calibrated entry; each reuse is

@@ -7,7 +7,11 @@
  * then runs the same pipeline as matmul(x, w), bit for bit: on the pooled
  * backends each chunk inside the per-chunk fold bound (core/tender_gemm.h)
  * runs the folded int16 dot-product GEMM, and the Serial backend and every
- * other chunk run the golden walk.
+ * other chunk run the golden walk. A segmented product (a decode step's
+ * requests stacked) runs as one pass of that pipeline, chunks restarting
+ * at each segment, so every request's rows get the product they would get
+ * alone. All of its chunks share one stacked bias-correction pass split
+ * over the pool, which is all a one-row decode segment needs.
  */
 
 #ifndef TENDER_CORE_TENDER_SCHEME_H
@@ -84,6 +88,15 @@ class TenderScheme : public GemmScheme
         {
             return tenderMatmul(x, qw_, w_, scheme_.config_, nullptr,
                                 &scheme_.kernels());
+        }
+
+        Matrix
+        matmulSegments(const Matrix &x,
+                       const std::vector<int> &segmentRows) const override
+        {
+            return tenderMatmulSegments(x, segmentRows, qw_, w_,
+                                        scheme_.config_, nullptr,
+                                        &scheme_.kernels());
         }
 
       private:

@@ -1,5 +1,7 @@
 #include "quant/scheme.h"
 
+#include <algorithm>
+
 #include "quant/metrics.h"
 
 namespace tender {
@@ -26,6 +28,27 @@ class ForwardedWeight : public PreparedWeight
 };
 
 } // namespace
+
+Matrix
+PreparedWeight::matmulSegments(const Matrix &x,
+                               const std::vector<int> &segmentRows) const
+{
+    Matrix y;
+    int row0 = 0;
+    for (int rows : segmentRows) {
+        TENDER_REQUIRE(rows > 0, "a segment needs rows, got " << rows);
+        const Matrix ys = matmul(x.rowSlice(row0, row0 + rows));
+        if (row0 == 0)
+            y = Matrix(x.rows(), ys.cols());
+        for (int r = 0; r < rows; ++r)
+            std::copy(ys.rowPtr(r), ys.rowPtr(r) + ys.cols(),
+                      y.rowPtr(row0 + r));
+        row0 += rows;
+    }
+    TENDER_REQUIRE(row0 == x.rows(), "segments cover " << row0 << " of "
+                                     << x.rows() << " rows");
+    return y;
+}
 
 std::unique_ptr<PreparedWeight>
 GemmScheme::prepare(const Matrix &w) const

@@ -155,7 +155,7 @@ struct GenRequest
      *  this request's own readout — emitted tokens are bit-identical to
      *  plain decode, only the step count changes. Incompatible with
      *  DecodeOptions::scheme (rejected at submit). */
-    SpeculationParams speculation;
+    SpeculationParams speculation{};
 };
 
 /** One finished request. */

@@ -331,26 +331,19 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
     const PreparedProjections &prepared =
         step.projections ? (*step.projections)[size_t(layer)] : fp32;
     PhaseTimer timer(step.phases);
-    // Fp32 projections batch across segments: they are row-local, so one
-    // GEMM over the stacked rows computes every request's result exactly.
-    // A quantizing scheme is NOT row-local — its row-chunk decomposition
-    // derives scales from whole chunks — so each segment is multiplied on
-    // its own against the prepared weight, keeping each request's
-    // quantization metadata a function of its own rows (the
-    // admission-order/batch-size independence invariant).
+    // Every projection is one product over the stacked rows. Fp32
+    // projections are row-local, so one GEMM computes every request's
+    // result exactly. A quantizing scheme is NOT row-local — its row-chunk
+    // decomposition derives scales from whole chunks — so the prepared
+    // weight gets the segment boundaries and restarts its chunks at each,
+    // keeping each request's quantization metadata a function of its own
+    // rows (the admission-order/batch-size independence invariant).
+    std::vector<int> segment_rows;
+    for (const DecodeSegment &seg : segments)
+        segment_rows.push_back(seg.rows);
     const auto project = [&](const Matrix &a, const Matrix &wm,
                              const std::unique_ptr<PreparedWeight> &pw) {
-        if (!pw)
-            return kc.gemm(a, wm);
-        Matrix y(a.rows(), wm.cols());
-        for (const DecodeSegment &seg : segments) {
-            const Matrix ys =
-                pw->matmul(a.rowSlice(seg.row0, seg.row0 + seg.rows));
-            for (int r = 0; r < seg.rows; ++r)
-                std::copy(ys.rowPtr(r), ys.rowPtr(r) + ys.cols(),
-                          y.rowPtr(seg.row0 + r));
-        }
-        return y;
+        return pw ? pw->matmulSegments(a, segment_rows) : kc.gemm(a, wm);
     };
 
     // Activations are released as soon as they are consumed, so a long

@@ -327,8 +327,8 @@ TEST(BatchScheduler, OutputIndependentOfAdmissionOrderBatchAndWorkers)
 TEST(BatchScheduler, QuantizedSchemeIsBatchIndependentToo)
 {
     // A quantizing scheme's chunk scales are not row-local, so the
-    // runtime must apply it per segment: a request's tokens may not
-    // depend on which other requests shared its steps.
+    // runtime must restart its chunks at every segment: a request's tokens
+    // may not depend on which other requests shared its steps.
     SyntheticModel model(smallDecoder(), 19);
     std::vector<GenRequest> requests = {
         {0, {3, 1, 4, 1, 5}, 3}, {1, {2, 7}, 4}, {2, {6, 6, 6}, 2}};

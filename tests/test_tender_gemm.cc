@@ -2,15 +2,18 @@
  * @file
  * Tests for the Tender GEMM pipelines: implicit/explicit equivalence
  * (Eq. 1 == Eq. 2), accuracy ordering against uniform granularities, bias
- * correction, accumulator-overflow accounting, the calibrated path, and
- * the prepared (quantize-once) weight path.
+ * correction, accumulator-overflow accounting, the calibrated path, the
+ * prepared (quantize-once) weight path and the segmented product.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/tender_gemm.h"
 #include "core/tender_scheme.h"
@@ -515,18 +518,146 @@ TEST(TenderScheme, NameAndConfig)
 
 TEST(BiasCorrectionRow, MatchesDenseProduct)
 {
+    // A one-row chunk is its own bias, so its codes are zero and its
+    // product is its bias-correction row alone: one row, and a stack of
+    // one-row segments sharing the stacked pass, must match the dense
+    // product on every backend. The first row holds two zero biases.
     Rng rng(13);
-    Matrix w = randomGaussian(8, 4, rng);
-    ChunkMeta meta;
-    meta.bias = {1.f, -2.f, 0.f, 3.f, 0.5f, 0.f, -1.f, 2.f};
-    meta.group.assign(8, 0);
-    meta.scale = {1.f};
-    Matrix row = biasCorrectionRow(meta, w);
-    Matrix bias_mat(1, 8);
+    const Matrix w = randomGaussian(8, 4, rng);
+    Matrix x = randomGaussian(3, 8, rng);
+    const float first[] = {1.f, -2.f, 0.f, 3.f, 0.5f, 0.f, -1.f, 2.f};
     for (int c = 0; c < 8; ++c)
-        bias_mat(0, c) = meta.bias[size_t(c)];
-    Matrix expect = gemm(bias_mat, w);
-    EXPECT_LE(maxAbsDiff(row, expect), 1e-5f);
+        x(0, c) = first[c];
+    const Matrix expect = gemm(x, w);
+    const TenderConfig cfg;
+    const QuantizedWeight qw = quantizeWeight(w, cfg.bits);
+    for (Backend backend :
+         {Backend::Serial, Backend::Threaded, Backend::Packed}) {
+        KernelContext kc(backend, 2);
+        EXPECT_LE(maxAbsDiff(tenderMatmul(x.rowSlice(0, 1), w, cfg, nullptr,
+                                          &kc),
+                             expect.rowSlice(0, 1)),
+                  1e-5f)
+            << backendName(backend);
+        EXPECT_LE(maxAbsDiff(tenderMatmulSegments(x, {1, 1, 1}, qw, w, cfg,
+                                                  nullptr, &kc),
+                             expect),
+                  1e-5f)
+            << backendName(backend);
+    }
+}
+
+/** Each segment of `x` multiplied alone on the Serial backend (the golden
+ *  walk, one per-call product per segment), stacked back. */
+Matrix
+perSegmentGolden(const Matrix &x, const std::vector<int> &segments,
+                 const Matrix &w, const TenderConfig &cfg)
+{
+    KernelContext serial(Backend::Serial);
+    Matrix y(x.rows(), w.cols());
+    int row0 = 0;
+    for (int rows : segments) {
+        const Matrix ys = tenderMatmul(x.rowSlice(row0, row0 + rows), w, cfg,
+                                       nullptr, &serial);
+        for (int r = 0; r < rows; ++r)
+            for (int j = 0; j < w.cols(); ++j)
+                y(row0 + r, j) = ys(r, j);
+        row0 += rows;
+    }
+    return y;
+}
+
+std::string
+segmentsName(const std::vector<int> &segments)
+{
+    std::string name;
+    for (int rows : segments)
+        name += (name.empty() ? "" : ",") + std::to_string(rows);
+    return "{" + name + "}";
+}
+
+TEST(TenderScheme, SegmentedProductMatchesPerSegmentBitExact)
+{
+    // Chunks restart at every segment, so a segmented product must give
+    // each segment's rows exactly the Serial per-call product of that
+    // segment alone, on every backend and worker count, however its
+    // one-row chunks are served: a decode step, ragged prefills between
+    // decode rows, a long prefill beside seven decode rows, and one
+    // segment; at the serving replica's shapes.
+    TenderConfig serve;
+    serve.rowChunk = 32;
+    const std::vector<std::vector<int>> segmentations = {
+        {1, 1, 1, 1, 1, 1, 1, 1},
+        {1, 35, 1, 64, 3, 1},
+        {300, 1, 1, 1, 1, 1, 1, 1},
+        {33}};
+    Rng rng(43);
+    for (const auto &[k, n] : {std::pair{256, 256}, std::pair{256, 1024},
+                               std::pair{1024, 256}}) {
+        const Matrix w = randomGaussian(k, n, rng, 0.f, 0.05f);
+        for (const std::vector<int> &segments : segmentations) {
+            int rows = 0;
+            for (int r : segments)
+                rows += r;
+            const Matrix x = outlierActivation(rows, k, rng);
+            const Matrix golden = perSegmentGolden(x, segments, w, serve);
+            for (Backend backend :
+                 {Backend::Serial, Backend::Threaded, Backend::Packed})
+                for (int workers : {1, 2, 4}) {
+                    KernelContext kc(backend, workers);
+                    TenderScheme scheme(serve);
+                    scheme.setKernels(&kc);
+                    EXPECT_TRUE(bitIdentical(
+                        scheme.prepare(w)->matmulSegments(x, segments),
+                        golden))
+                        << backendName(backend) << " x" << workers << " K="
+                        << k << " N=" << n << " " << segmentsName(segments);
+                }
+        }
+    }
+
+    // Where the one-row shortcut must not apply, the general path runs
+    // and still matches: a row past FLT_MAX / 2 (its bias overflows to
+    // inf), no bias subtraction (one-row codes are non-zero), and a stats
+    // request (the golden walk, counting every chunk). A weight holding
+    // inf gives its column an infinite scale, which the shortcut's zero
+    // accumulator must turn into NaN as the general path's does.
+    const std::vector<int> segments = {1, 35, 1, 64, 3, 1};
+    const Matrix w = randomGaussian(256, 256, rng, 0.f, 0.05f);
+    Matrix x = outlierActivation(105, 256, rng);
+    Matrix huge = x;
+    huge(36, 7) = 3e38f; // the second one-row segment
+    Matrix w_inf = w;
+    w_inf(3, 5) = std::numeric_limits<float>::infinity();
+    TenderConfig unbiased = serve;
+    unbiased.biasSubtract = false;
+    struct Case
+    {
+        const char *name;
+        const Matrix &x, &w;
+        TenderConfig cfg;
+    };
+    const Case cases[] = {{"row past FLT_MAX / 2", huge, w, serve},
+                          {"no bias subtraction", x, w, unbiased},
+                          {"inf weight", x, w_inf, serve}};
+    for (Backend backend : {Backend::Threaded, Backend::Packed}) {
+        KernelContext kc(backend, 2);
+        for (const Case &c : cases) {
+            TenderScheme scheme(c.cfg);
+            scheme.setKernels(&kc);
+            EXPECT_TRUE(bitIdentical(
+                scheme.prepare(c.w)->matmulSegments(c.x, segments),
+                perSegmentGolden(c.x, segments, c.w, c.cfg)))
+                << backendName(backend) << " " << c.name;
+        }
+        TenderGemmStats stats;
+        EXPECT_TRUE(bitIdentical(
+            tenderMatmulSegments(x, segments, quantizeWeight(w, serve.bits), w,
+                                 serve, &stats, &kc),
+            perSegmentGolden(x, segments, w, serve)))
+            << backendName(backend) << " with stats";
+        EXPECT_EQ(stats.chunks, 8); // 1 + 2 + 1 + 2 + 1 + 1
+    }
 }
 
 } // namespace
