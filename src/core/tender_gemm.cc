@@ -333,9 +333,8 @@ correctionTile(const float *bias, int ldb, int chunks, const float *w,
 
 /** Add every chunk's bias-correction row to its output rows: chunk i
  *  (rows ranges[i] of y, per-channel biases in row i of `biases`) gets
- *  its correctionTile row. Tasks are (chunk block x column slice) tiles,
- *  with enough chunk blocks to fill the pool however few the column
- *  slices. Any partition gives the same bits, because each output
+ *  its correctionTile row. Tasks are (chunk block x column slice) tiles
+ *  over the pool. Any partition gives the same bits, because each output
  *  element's channel sum stays in one task, in ascending channel order. */
 void
 addBiasCorrections(const Matrix &biases,
@@ -345,11 +344,10 @@ addBiasCorrections(const Matrix &biases,
     const int chunks = biases.rows();
     const int k = w.rows();
     const int n = w.cols();
+    if (chunks == 0 || n == 0)
+        return;
     const int slices = (n + kColSlice - 1) / kColSlice;
-    const int wanted =
-        std::clamp((kc.workers() + slices - 1) / slices, 1, chunks);
-    const int per_block = std::min((chunks + wanted - 1) / wanted,
-                                   kMaxCorrectionChunks);
+    const int per_block = std::min(chunks, kMaxCorrectionChunks);
     const int blocks = (chunks + per_block - 1) / per_block;
     kc.parallelFor(0, int64_t(blocks) * slices, 1,
                    [&](int64_t t0, int64_t t1) {
@@ -380,24 +378,24 @@ addBiasCorrections(const Matrix &biases,
 // Shared chunk pipeline.
 // ---------------------------------------------------------------------------
 
-/** Run body(ci) for every chunk index in `chunks`. Chunks are the primary
+/** Run body(ci) for every chunk index of `ranges`. Chunks are the primary
  *  parallel axis; a body with its own inner (column-sliced) parallel axis
  *  runs chunk by chunk when chunks alone cannot fill the pool, so the
  *  inner fan-out gets the workers (nested calls from chunk tasks run
  *  inline). */
 template <class Body>
 void
-forEachChunk(const std::vector<size_t> &chunks, bool inner_axis,
-             const KernelContext &kc, const Body &body)
+forEachChunk(const std::vector<std::pair<int, int>> &ranges,
+             bool inner_axis, const KernelContext &kc, const Body &body)
 {
-    if (!inner_axis || int64_t(chunks.size()) >= int64_t(kc.workers())) {
-        kc.parallelFor(0, int64_t(chunks.size()), 1,
+    if (!inner_axis || int64_t(ranges.size()) >= int64_t(kc.workers())) {
+        kc.parallelFor(0, int64_t(ranges.size()), 1,
                        [&](int64_t c0, int64_t c1) {
-            for (int64_t i = c0; i < c1; ++i)
-                body(chunks[size_t(i)]);
+            for (int64_t ci = c0; ci < c1; ++ci)
+                body(size_t(ci));
         });
     } else {
-        for (size_t ci : chunks)
+        for (size_t ci = 0; ci < ranges.size(); ++ci)
             body(ci);
     }
 }
@@ -409,6 +407,8 @@ std::vector<std::pair<int, int>>
 segmentChunkRanges(const std::vector<int> &segment_rows, int rows,
                    int row_chunk)
 {
+    TENDER_REQUIRE(!segment_rows.empty(), "a segmented product needs a "
+                   "segment");
     std::vector<std::pair<int, int>> ranges;
     int row0 = 0;
     for (int seg : segment_rows) {
@@ -513,30 +513,20 @@ runChunkPipeline(const Matrix &x,
     Matrix y(x.rows(), n, 0.f);
     Matrix biases(int(ranges.size()), k); // per chunk, for the correction
     std::vector<TenderGemmStats> local(ranges.size());
-
     // On the fold's domain with dynamic metadata, a one-row chunk whose
     // row is its own bias skips decompose, quantize and fold: its codes
-    // are zero (oneRowMeta), so its accumulator is zero and its product
-    // is its bias-correction row.
-    const bool one_row_chunks =
-        std::any_of(ranges.begin(), ranges.end(),
-                    [](const auto &r) { return r.second - r.first == 1; });
-    const std::optional<ChunkMeta> row_meta = fold && !metas &&
-            one_row_chunks ? oneRowMeta(k, config) : std::nullopt;
-    const MatrixT<int32_t> zero_acc(row_meta ? 1 : 0, n, 0);
-    std::vector<size_t> decomposed;
-    for (size_t ci = 0; ci < ranges.size(); ++ci) {
-        const auto [r0, r1] = ranges[ci];
-        if (!row_meta || r1 - r0 != 1 || !rowIsItsBias(x.rowPtr(r0), k)) {
-            decomposed.push_back(ci);
-            continue;
-        }
-        std::copy(x.rowPtr(r0), x.rowPtr(r0) + k, biases.rowPtr(int(ci)));
-        dequantizeInto(zero_acc, *row_meta, qw.colScale, y, r0);
-    }
+    // are zero (oneRowMeta), so its product is its bias-correction row.
+    const std::optional<ChunkMeta> row_meta =
+        fold && !metas ? oneRowMeta(k, config) : std::nullopt;
 
     auto processOne = [&](size_t ci) {
         const auto [r0, r1] = ranges[ci];
+        if (row_meta && r1 - r0 == 1 && rowIsItsBias(x.rowPtr(r0), k)) {
+            std::copy(x.rowPtr(r0), x.rowPtr(r0) + k, biases.rowPtr(int(ci)));
+            dequantizeInto(MatrixT<int32_t>(1, n, 0), *row_meta, qw.colScale,
+                           y, r0);
+            return;
+        }
         TenderGemmStats *ls = stats ? &local[ci] : nullptr;
         const Matrix chunk = x.rowSlice(r0, r1);
         ChunkMeta meta;
@@ -584,8 +574,7 @@ runChunkPipeline(const Matrix &x,
 
     // The fold has an inner (column-sliced) parallel axis; the golden
     // bodies always parallelize over chunks, however few.
-    if (!decomposed.empty())
-        forEachChunk(decomposed, fold, kc, processOne);
+    forEachChunk(ranges, fold, kc, processOne);
     addBiasCorrections(biases, ranges, w, kc, y);
 
     int64_t reuses = 0;

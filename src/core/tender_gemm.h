@@ -152,11 +152,11 @@ Matrix tenderMatmul(const Matrix &x, const QuantizedWeight &qw,
                     const KernelContext *kernels = nullptr);
 
 /** tenderMatmul over a stack of independent segments: x's rows are the
- *  segments' rows back to back, segmentRows[i] > 0 rows each, summing to
- *  x.rows(). Chunk boundaries restart at every segment boundary, so each
- *  segment's output rows are bit-identical to tenderMatmul(segment, qw, w,
- *  ...); all chunks of all segments run as one pass, sharing one stacked
- *  bias-correction pass. */
+ *  segments' rows back to back, segmentRows (not empty) their row counts,
+ *  each > 0, summing to x.rows(). Chunk boundaries restart at every
+ *  segment boundary, so each segment's output rows are bit-identical to
+ *  tenderMatmul(segment, qw, w, ...); all chunks of all segments run as
+ *  one pass, sharing one stacked bias-correction pass. */
 Matrix tenderMatmulSegments(const Matrix &x,
                             const std::vector<int> &segmentRows,
                             const QuantizedWeight &qw, const Matrix &w,

@@ -8,10 +8,9 @@
  * backends each chunk inside the per-chunk fold bound (core/tender_gemm.h)
  * runs the folded int16 dot-product GEMM, and the Serial backend and every
  * other chunk run the golden walk. A segmented product (a decode step's
- * requests stacked) runs as one pass of that pipeline, chunks restarting
- * at each segment, so every request's rows get the product they would get
- * alone. All of its chunks share one stacked bias-correction pass split
- * over the pool, which is all a one-row decode segment needs.
+ * requests stacked) runs as one pass of that pipeline
+ * (tenderMatmulSegments), chunks restarting at each segment, so each
+ * segment's rows equal its own product bit for bit.
  */
 
 #ifndef TENDER_CORE_TENDER_SCHEME_H

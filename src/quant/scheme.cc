@@ -33,6 +33,8 @@ Matrix
 PreparedWeight::matmulSegments(const Matrix &x,
                                const std::vector<int> &segmentRows) const
 {
+    TENDER_REQUIRE(!segmentRows.empty(), "a segmented product needs a "
+                   "segment");
     Matrix y;
     int row0 = 0;
     for (int rows : segmentRows) {

@@ -15,11 +15,9 @@
  * prepare() binds a weight for repeated products: the serving runtime
  * prepares each projection once per session, so work a scheme can do once
  * per weight (Tender's per-column weight quantization) leaves the
- * per-step path. A decode step multiplies each prepared weight once, by
- * all of its requests' rows stacked, through matmulSegments: a quantizing
- * scheme's activation scales are not row-local, so each request's rows
- * must be quantized as if they were multiplied alone, and the segmented
- * product says where one request ends. The accuracy harnesses keep
+ * per-step path. A decode step multiplies each prepared weight once over
+ * all of its requests' rows stacked (matmulSegments), and each request's
+ * rows equal its own product bit for bit. The accuracy harnesses keep
  * calling matmul(x, w): they use each weight once per forward and pass
  * activations as the right operand too.
  */
@@ -55,13 +53,14 @@ class PreparedWeight
 
     /**
      * The product of a stack of independent segments: x's rows are the
-     * segments' rows back to back, segmentRows[i] > 0 rows each, and each
-     * segment's output rows equal matmul(segment) bit for bit. The default
-     * multiplies segment by segment, so a class that overrides only
-     * matmul(x) (a forwarding wrapper) serves exactly as before; a scheme
-     * that can share work across segments overrides this (TenderScheme
-     * runs all of them as one chunk pipeline). A separate name rather than
-     * a matmul overload, so overriding matmul(x) hides nothing.
+     * segments' rows back to back, segmentRows holds each segment's row
+     * count (at least one segment, each of at least one row), and each
+     * segment's output rows equal matmul(segment) bit for bit. The
+     * default multiplies segment by segment, so a class that overrides
+     * only matmul(x) (a forwarding wrapper) serves exactly as before; a
+     * scheme that can share work across segments overrides this. A
+     * separate name rather than a matmul overload, so overriding
+     * matmul(x) hides nothing.
      */
     virtual Matrix matmulSegments(const Matrix &x,
                                   const std::vector<int> &segmentRows) const;

@@ -39,14 +39,7 @@
  * is one segmented product over the stacked rows
  * (PreparedWeight::matmulSegments): a quantizing scheme's activation
  * chunk scales are not row-local, so chunks restart at every segment
- * boundary and each request's rows get exactly the product they would
- * get alone. A one-row segment (every decode step) is a one-row Tender
- * chunk, which quantizes losslessly: with bias subtraction (the default)
- * its per-channel bias is the row itself and every code is zero, so its
- * product is its bias-correction row. The segmented Tender product skips
- * such a chunk's decompose, quantize and integer GEMM, and computes all
- * of a step's correction rows in one stacked pass over the weight, split
- * over the pool (core/tender_gemm.h).
+ * boundary and each segment's rows equal its own product bit for bit.
  *
  * Vocab closes the generation loop without a learned LM head: a
  * deterministic synthetic embedding table maps token ids to input rows

@@ -660,5 +660,38 @@ TEST(TenderScheme, SegmentedProductMatchesPerSegmentBitExact)
     }
 }
 
+TEST(TenderScheme, SegmentedProductEmptyShapes)
+{
+    // A weight with no output columns gives an x.rows() x 0 product on
+    // every backend, as the per-call path does; a segmented product with
+    // no segment is rejected, by the Tender pipeline and the base default.
+    const TenderConfig cfg;
+    Rng rng(47);
+    const Matrix x = randomGaussian(3, 16, rng);
+    const Matrix w0(16, 0);
+    const QuantizedWeight qw0 = quantizeWeight(w0, cfg.bits);
+    for (Backend backend :
+         {Backend::Serial, Backend::Threaded, Backend::Packed}) {
+        KernelContext kc(backend, 2);
+        const Matrix y = tenderMatmulSegments(x, {1, 2}, qw0, w0, cfg,
+                                              nullptr, &kc);
+        EXPECT_EQ(y.rows(), 3) << backendName(backend);
+        EXPECT_EQ(y.cols(), 0) << backendName(backend);
+        EXPECT_EQ(tenderMatmul(x, w0, cfg, nullptr, &kc).cols(), 0)
+            << backendName(backend);
+    }
+    // The rejection exits, running static destructors, so the child must
+    // not be a fork of this process, whose pool threads it would lack.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Matrix w = randomGaussian(16, 8, rng);
+    EXPECT_DEATH(tenderMatmulSegments(Matrix(0, 16), {},
+                                      quantizeWeight(w, cfg.bits), w, cfg),
+                 "needs a segment");
+    const TenderScheme scheme(cfg);
+    const auto prepared = scheme.prepare(w);
+    EXPECT_DEATH(prepared->PreparedWeight::matmulSegments(Matrix(0, 16), {}),
+                 "needs a segment");
+}
+
 } // namespace
 } // namespace tender
