@@ -1,124 +1,35 @@
 /**
  * @file
- * Decode-runtime performance recorder: continuous-batching tokens/s at
- * batch 1/4/16 with fp32 and Tender-quantized KV caches — the latter both
- * through the dequantize-on-read oracle and the fused integer-domain
- * attention path (DecodeOptions::fusedQuantKv) — plus a churned
- * mixed-batch scenario comparing the paged KV layout against contiguous
- * per-request slabs, emitted as BENCH_decode.json so the serving-path
- * perf trajectory is tracked PR over PR (run via scripts/bench_decode.sh).
+ * Decode-runtime recorder: writes BENCH_decode.json (run via
+ * scripts/bench_decode.sh).
  *
- * The batched gains come from the scheduler batching the QKV/O/FFN
- * projections of all active requests into single GEMMs — one pass over
- * the weights serves the whole batch — exactly the Section VI-D argument
- * that batching restores decode utilization; attention stays per request
- * over its own cache. The quantized-KV rows additionally record the
- * chunk-freeze / dequantize-on-read overhead and the cache shrinkage.
+ * Sections: continuous batching at batch 1/4/16 over fp32 KV,
+ * Tender-quantized KV read through the dequantize oracle, and fused
+ * integer-domain attention on the KV codes (fp32_kv, tender_kv,
+ * tender_kv_fused); GQA multi-query attention panels on vs off
+ * (mq_panels); a churned mixed batch, paged vs contiguous per-request
+ * slabs (churn_*); a shared system prompt with and without COW prefix
+ * caching (prefix_shared); chat, long-document and short requests through
+ * the serving front end (mixed_traffic); mid-decode preemption on vs off
+ * under a bounded pool (preemption_pressure); the mixed traffic under a
+ * seeded fault plan plus front-door shedding (fault_churn); prompt-lookup
+ * speculation against plain decode (spec_decode); and untimed invariants
+ * (correctness).
  *
- * The churn scenario interleaves mixed-length requests through a batch
- * whose slots turn over continuously. Both arms run the same paged
- * machinery; the "contiguous" arm sets blockTokens to the largest
- * request's footprint so every store holds exactly one block — a
- * per-request slab, which is what contiguous preallocation commits. Peak
- * KV bytes are read from the BlockAllocator occupancy stats; the paged
- * arm must be smaller at statistically equal tokens/s.
- *
- * The shared-system-prompt scenario exercises copy-on-write prefix
- * caching (SchedulerOptions::prefixCache): a leader's prefill publishes
- * the system prompt's KV blocks, followers adopt them and prefill only
- * their private suffixes. Recorded: prefill rows skipped, peak KV bytes
- * vs the no-sharing arm, COW fault counts, and two gated correctness
- * fields — prefix_reuse_bitexact (shared-prefix decode produces the same
- * tokens as cold decode in both KV modes, and adopted quantized pages
- * carry bit-identical chunk codes) and refcounts_consistent (the pool's
- * refcount audit passes and clearing the prefix cache returns every
- * block).
- *
- * The "mq_panels" scenario runs a GQA replica (Llama-2-70B/64: 4 query
- * heads per kv head) with the multi-query attention panels
- * (DecodeOptions::mqAttentionPanels) on vs off, in both KV modes — the
- * panel batching only has something to amortize when several query heads
- * share one kv history, which the OPT replica (kvHeads == nHeads) never
- * exercises.
- *
- * The "mixed_traffic" scenario drives the serving front end
- * (serve/serve_session.h) with the three traffic classes a real fleet
- * mixes — chat turns sharing a system prompt (interactive, sampled),
- * long-document prefills (batch class, greedy), and short completions
- * (interactive, sampled) — with the prefix cache on and the block pool
- * bounded, so prefix hits, pool pressure, priority overtakes, and seeded
- * sampling are exercised together. Recorded: tokens/s, prefix hits,
- * deferrals, overtakes, and per-priority-class TTFT and inter-token
- * latency p50/p95; gated: sampling_order_independent — every request's
- * sampled tokens are bit-identical under reversed admission order, a
- * different batch cap, and a different worker count.
- *
- * The "preemption_pressure" scenario bounds the block pool so a burst of
- * Interactive requests arriving mid-run cannot be seated while
- * Batch-class requests with long budgets hold every reservation, and
- * runs the identical workload with mid-decode preemption on
- * (maxPreemptions 2) and off. Recorded: Interactive TTFT p95 for both
- * arms (preemption on must not wait for a Batch budget to drain),
- * preemption/resume/deferral counters, tokens/s; gated:
- * preempt_resume_bitexact — every request's tokens are identical across
- * arms (the off arm runs uninterrupted, so this is the freeze/park/
- * resume contract in both KV modes — resume recomputes the dropped rows
- * as one prefill segment — and the on arm must actually preempt for the
- * gate to count) — and the park-accounting audit
- * (refcounts consistent, parks == unparks, zero parked blocks at drain,
- * every block returned once the prefix cache clears).
- *
- * The "fault_churn" scenario replays the mixed-traffic workload under a
- * seeded fault plan (util/fault_injection.h: injected KV-allocation
- * failures, throwing streaming callbacks, step-latency stalls) plus
- * front-door shedding (a queue-depth bound sized to reject two
- * submissions, and two requests whose 1 us deadline expires before
- * admission), in all three decode arms (fp32, quantized, fused).
- * Recorded per arm: survivor tokens/s, finished/failed counts, sheds by
- * cause, and the injector's fired-trigger counts; gated:
- * fault_isolation_bitexact — every request the plan did not fail
- * generates bit-identical tokens to the fault-free reference run (the
- * fail-one-not-the-batch containment contract, docs/robustness.md) —
- * and the leak audit (refcounts consistent, every block and reservation
- * home after drain in both arms of all three modes).
- *
- * The "spec_decode" scenario measures speculative decoding
- * (docs/speculation.md) on a repetitive-suffix workload: the
- * prompt-lookup and draft-model drafters at k in {2, 4, 8} against the
- * plain baseline, per KV arm (fp32 / tender / tender_fused); every arm
- * verifies a draft as one batched segment. Recorded per point: tokens/s,
- * acceptance rate, drafted/accepted counts, steps, speedup over plain;
- * gated: spec_decode_bitexact — every speculative
- * run's tokens are bit-identical to the plain run's in every arm, at
- * every k, with both drafters (the accept-only-what-the-model-would-emit
- * verification contract).
- *
- * The "correctness" block records machine-checkable invariants (fp32
- * decode bit-parity with full prefill, quantized-KV NMSE under its
- * bound, fused-vs-dequantize attention NMSE under its bound,
- * mq_panel_bitexact — MQ-panel decode reproduces per-head decode bit for
- * bit in every KV mode on both model shapes, the row-locality contract —
- * and paged-vs-contiguous peak ratio > 1); scripts/check_bench.py gates
- * CI on them. The fused/dequantize tokens/s ratio is recorded (not
- * gated) as fused_over_dequant_tokens_ratio. The decode kernel context
- * is the packed arm (Backend::Packed), recorded in the "simd"/"backend"
- * fields so every number is attributable to the kernel arm that produced
- * it; the reference forward in the correctness check runs on the same
- * context, so bit-parity claims compare like with like.
- *
- * A fixed reference-workload calibration score (bench_common.h) is
- * recorded so check_bench.py --compare-baseline can normalize tokens/s
- * across machine speeds; in --smoke mode every throughput point is the
- * best of 3 repetitions, which together make the hosted-runner baseline
- * comparison a usable signal instead of noise.
+ * Each timed section runs its arms in `rounds` alternating rounds
+ * (bench::rounds). An arm records its median tokens_per_s with
+ * [min, max], and the phases_us of its median round with
+ * unattributed_frac, the wall time no decode phase covers. A compared
+ * pair records the median of its per-round ratios with [min, max]. A
+ * correctness comparison must hold in every round. The exit code is the
+ * AND of the gates; scripts/check_bench.py states what each one guards.
  *
  * Usage: bench_decode_json [--smoke] [prompt new_tokens workers out.json]
- * Defaults: 16 32 8 BENCH_decode.json (--smoke: 8 6 2, reduced batches
- * and churn, for the CI smoke job).
+ * Defaults: 16 32 <hardware threads> BENCH_decode.json (--smoke: 8 6 and
+ * at most 2 workers, with reduced batches and workloads, for CI).
  */
 
-#include <chrono>
-#include <cstdio>
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -134,91 +45,233 @@
 #include "util/rng.h"
 
 using namespace tender;
+using bench::JsonOut;
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-struct BatchPoint
+/** A KV arm: how the cache stores K/V and how attention reads it. */
+struct KvArm
 {
-    int batch = 0;
-    double tokensPerS = 0.0;
-    double stepsPerS = 0.0;
-    int64_t steps = 0;
-    size_t cacheBytesPerRequest = 0;
+    const char *name;
+    KVCacheMode mode;
+    bool fused;
 };
 
-BatchPoint
-runBatchOnce(SyntheticModel &model, const KernelContext &kc, int batch,
-             int prompt_len, int new_tokens, KVCacheMode mode, bool fused,
-             bool mq)
+const KvArm kFp32{"fp32", KVCacheMode::Fp32, false};
+const KvArm kTender{"tender", KVCacheMode::TenderQuantized, false};
+const KvArm kFused{"tender_fused", KVCacheMode::TenderQuantized, true};
+
+SchedulerOptions
+schedulerOptions(const KernelContext &kc, const KvArm &arm, int max_batch,
+                 int row_chunk = 16)
 {
-    SchedulerOptions options;
-    options.maxBatch = batch;
-    options.vocabSize = 256;
-    options.decode.kernels = &kc;
-    options.decode.cache.mode = mode;
-    options.decode.cache.tender.rowChunk = 16;
-    options.decode.fusedQuantKv = fused;
-    options.decode.mqAttentionPanels = mq;
+    SchedulerOptions o;
+    o.maxBatch = max_batch;
+    o.vocabSize = 256;
+    o.decode.kernels = &kc;
+    o.decode.cache.mode = arm.mode;
+    o.decode.cache.tender.rowChunk = row_chunk;
+    o.decode.fusedQuantKv = arm.fused;
+    return o;
+}
+
+/** One timed run of a BatchScheduler or a ServeSession. */
+struct Run
+{
+    double seconds = 0.0;
+    int64_t tokens = 0; ///< what tokens_per_s counts
+    size_t finished = 0; ///< requests that finished (all, if no faults)
+    std::vector<std::vector<int>> tokensOf; ///< per request, submit order
+    std::vector<ServeResult> served;        ///< session runs only
+    SchedulerStats stats;
+    BlockPoolStats pool; ///< at drain
+    DecodePhaseTimes phases;
+    LatencyStats interactive, batch; ///< session runs only
+    bool settled = false;            ///< see settles()
+    std::pair<int64_t, int64_t> faults; ///< fired: alloc, callback
+
+    double tokensPerS() const { return double(tokens) / seconds; }
+};
+
+/** The audit every run ends with: refcounts consistent, no block left
+ *  parked, and once the prefix cache lets go, every block and
+ *  reservation back in the pool. */
+bool
+settles(BatchScheduler &s)
+{
+    const bool parked_ok = s.pool().refcountsConsistent() &&
+        s.poolStats().parkedBlocks == 0;
+    if (s.prefixCache())
+        s.prefixCache()->clear();
+    const BlockPoolStats ps = s.poolStats();
+    return parked_ok && ps.allocatedBlocks == 0 && ps.reservedBlocks == 0 &&
+        ps.sharedBlocks == 0 && s.pool().refcountsConsistent();
+}
+
+using SubmitHook = std::function<void(BatchScheduler &, const GenRequest &)>;
+
+/** Submit `requests` (through `submit` when given) and drain. */
+Run
+runScheduler(SyntheticModel &model, SchedulerOptions options,
+             const std::vector<GenRequest> &requests,
+             const SubmitHook &submit = {})
+{
+    Run run;
+    options.decode.phases = &run.phases;
     BatchScheduler scheduler(model, options);
+    const auto t0 = Clock::now();
+    for (const GenRequest &r : requests) {
+        if (submit)
+            submit(scheduler, r);
+        else
+            scheduler.submit(r);
+    }
+    const std::vector<GenResult> results = scheduler.drain();
+    run.seconds = bench::secondsSince(t0);
+    TENDER_CHECK(results.size() == requests.size());
+    for (const GenResult &r : results) // drain sorts by id
+        run.tokensOf.push_back(r.tokens);
+    run.finished = results.size();
+    run.stats = scheduler.stats();
+    run.tokens = run.stats.decodedTokens;
+    run.pool = scheduler.poolStats();
+    run.settled = settles(scheduler);
+    return run;
+}
+
+/** Submits and steps a session; returns the ids whose results to keep. */
+using Driver = std::function<std::vector<int>(ServeSession &)>;
+
+/** Drive a fresh session and drain it; tokens_per_s counts the tokens of
+ *  finished requests. */
+Run
+runSession(SyntheticModel &model, ServeSessionOptions options,
+           const Driver &drive)
+{
+    Run run;
+    options.scheduler.decode.phases = &run.phases;
+    ServeSession session(model, options);
+    const auto t0 = Clock::now();
+    const std::vector<int> ids = drive(session);
+    session.drain();
+    run.seconds = bench::secondsSince(t0);
+    for (const int id : ids) {
+        TENDER_CHECK(session.result(id) != nullptr);
+        run.served.push_back(*session.result(id));
+        const ServeResult &r = run.served.back();
+        run.tokensOf.push_back(r.tokens);
+        if (r.state == RequestState::Finished) {
+            ++run.finished;
+            run.tokens += int64_t(r.tokens.size());
+        }
+    }
+    run.stats = session.scheduler().stats();
+    run.pool = session.poolStats();
+    run.interactive = session.latency(Priority::Interactive);
+    run.batch = session.latency(Priority::Batch);
+    run.settled = settles(session.scheduler());
+    return run;
+}
+
+std::vector<double>
+tokensPerS(const std::vector<Run> &runs)
+{
+    std::vector<double> tps;
+    for (const Run &r : runs)
+        tps.push_back(r.tokensPerS());
+    return tps;
+}
+
+/** Record an arm's rounds at `path`: median tokens_per_s with its range,
+ *  then steps and phases of the median round, which it returns. */
+const Run &
+recordArm(JsonOut &out, const std::string &path,
+          const std::vector<Run> &runs)
+{
+    const std::vector<double> tps = tokensPerS(runs);
+    const Run &mid = runs[bench::medianIndex(tps)];
+    out.spread(path + ".tokens_per_s", bench::spread(tps));
+    out.set(path + ".steps", mid.stats.steps);
+    const DecodePhaseTimes &p = mid.phases;
+    out.set(path + ".phases_us.projections", p.projectionsUs);
+    out.set(path + ".phases_us.append", p.appendUs);
+    out.set(path + ".phases_us.history", p.historyUs);
+    out.set(path + ".phases_us.attention", p.attentionUs);
+    const double covered =
+        p.projectionsUs + p.appendUs + p.historyUs + p.attentionUs;
+    out.set(path + ".unattributed_frac", 1.0 - covered / (mid.seconds * 1e6));
+    return mid;
+}
+
+/** Record the per-round tokens/s ratios a / b at `path`. */
+void
+recordRatio(JsonOut &out, const std::string &path,
+            const std::vector<Run> &a, const std::vector<Run> &b)
+{
+    out.spread(path, bench::spread(bench::ratios(tokensPerS(a),
+                                                 tokensPerS(b))));
+}
+
+void
+recordLatency(JsonOut &out, const std::string &path, const LatencyStats &l)
+{
+    out.set(path + ".requests", l.requests);
+    out.set(path + ".tokens", l.tokens);
+    out.set(path + ".ttft_p50_us", l.ttftP50Us);
+    out.set(path + ".ttft_p95_us", l.ttftP95Us);
+    out.set(path + ".itl_p50_us", l.itlP50Us);
+    out.set(path + ".itl_p95_us", l.itlP95Us);
+    out.set(path + ".preemptions", l.preemptions);
+}
+
+/** True when every request of runs `a` and `b` finished, with the same
+ *  tokens in both. */
+bool
+sameTokens(const Run &a, const Run &b)
+{
+    return a.tokensOf == b.tokensOf && a.finished == a.tokensOf.size() &&
+        b.finished == b.tokensOf.size();
+}
+
+bool
+sameTokensEveryRound(const std::vector<Run> &a, const std::vector<Run> &b)
+{
+    for (size_t r = 0; r < a.size(); ++r)
+        if (!sameTokens(a[r], b[r]))
+            return false;
+    return true;
+}
+
+bool
+allSettled(const std::vector<std::vector<Run>> &runs)
+{
+    for (const std::vector<Run> &arm : runs)
+        for (const Run &r : arm)
+            if (!r.settled)
+                return false;
+    return true;
+}
+
+// ---- Workloads ------------------------------------------------------------
+
+std::vector<GenRequest>
+batchRequests(int batch, int prompt_len, int new_tokens)
+{
+    std::vector<GenRequest> requests;
     for (int id = 0; id < batch; ++id) {
         GenRequest r;
         r.id = id;
         for (int t = 0; t < prompt_len; ++t)
-            r.promptTokens.push_back((id * 37 + t * 13) %
-                                     options.vocabSize);
+            r.promptTokens.push_back((id * 37 + t * 13) % 256);
         r.maxNewTokens = new_tokens;
-        scheduler.submit(r);
+        requests.push_back(r);
     }
-    const auto t0 = Clock::now();
-    const auto results = scheduler.drain();
-    const double s = std::chrono::duration<double>(Clock::now() - t0)
-                         .count();
-    TENDER_CHECK(int(results.size()) == batch);
-    BatchPoint p;
-    p.batch = batch;
-    p.steps = scheduler.stats().steps;
-    p.tokensPerS = double(scheduler.stats().decodedTokens) / s;
-    p.stepsPerS = double(p.steps) / s;
-    // One request's end-of-run cache footprint (outside the timing).
-    DecodeOptions dopt;
-    dopt.kernels = &kc;
-    dopt.cache = options.decode.cache;
-    dopt.fusedQuantKv = fused;
-    dopt.mqAttentionPanels = mq;
-    DecodeEngine engine(model, dopt);
-    Vocab vocab(options.vocabSize, model.config().dModel,
-                options.vocabSeed);
-    std::vector<int> prompt(size_t(prompt_len + new_tokens - 1), 1);
-    engine.prefill(vocab.embedAll(prompt));
-    p.cacheBytesPerRequest = engine.cache().storedBytes();
-    return p;
+    return requests;
 }
 
-/** Best of `reps` runs: decode steps are short, so a single scheduler
- *  drain is noticeably jittery on an oversubscribed 1-hw-thread
- *  container. The CI smoke job uses 3 repetitions (vs 2 at full scale)
- *  so the recorded tokens/s is stable enough for the baseline
- *  comparison. */
-BatchPoint
-runBatch(SyntheticModel &model, const KernelContext &kc, int batch,
-         int prompt_len, int new_tokens, KVCacheMode mode,
-         bool fused = false, int reps = 2, bool mq = true)
-{
-    BatchPoint best = runBatchOnce(model, kc, batch, prompt_len, new_tokens,
-                                   mode, fused, mq);
-    for (int r = 1; r < reps; ++r) {
-        const BatchPoint again = runBatchOnce(model, kc, batch, prompt_len,
-                                              new_tokens, mode, fused, mq);
-        if (again.tokensPerS > best.tokensPerS)
-            best = again;
-    }
-    return best;
-}
-
-// ---- Churned mixed batch: paged vs contiguous slabs ---------------------
-
+/** Mixed-length requests whose slots turn over continuously. */
 struct ChurnSpec
 {
     int maxBatch = 8;
@@ -244,8 +297,8 @@ churnSpec(bool smoke)
             r.promptTokens.push_back((id * 31 + t * 7) % 256);
         r.maxNewTokens = budget;
         spec.requests.push_back(r);
-        const int tokens = prompt + budget - 1;
-        spec.maxRequestTokens = std::max(spec.maxRequestTokens, tokens);
+        spec.maxRequestTokens =
+            std::max(spec.maxRequestTokens, prompt + budget - 1);
     }
     spec.maxRequestTokens =
         (spec.maxRequestTokens + spec.rowChunk - 1) / spec.rowChunk *
@@ -253,67 +306,12 @@ churnSpec(bool smoke)
     return spec;
 }
 
-struct ChurnPoint
-{
-    double tokensPerS = 0.0;
-    size_t peakKvBytes = 0;
-    size_t peakCommittedBytes = 0;
-    size_t createdBlocks = 0;
-    int64_t allocations = 0;
-    int64_t reuses = 0;
-    size_t blockTokens = 0;
-};
-
-ChurnPoint
-runChurnOnce(SyntheticModel &model, const KernelContext &kc,
-             const ChurnSpec &spec, KVCacheMode mode, bool paged)
-{
-    SchedulerOptions options;
-    options.maxBatch = spec.maxBatch;
-    options.vocabSize = 256;
-    options.decode.kernels = &kc;
-    options.decode.cache.mode = mode;
-    options.decode.cache.tender.rowChunk = spec.rowChunk;
-    // Contiguous arm: one slab-sized block per store, allocated in full at
-    // the request's first append — what per-request contiguous buffers
-    // commit. Chunk size (and therefore numerics) is identical either way.
-    options.decode.cache.blockTokens =
-        paged ? spec.rowChunk : spec.maxRequestTokens;
-    BatchScheduler scheduler(model, options);
-    for (const GenRequest &r : spec.requests)
-        scheduler.submit(r);
-    const auto t0 = Clock::now();
-    const auto results = scheduler.drain();
-    const double s = std::chrono::duration<double>(Clock::now() - t0)
-                         .count();
-    TENDER_CHECK(results.size() == spec.requests.size());
-    const BlockPoolStats ps = scheduler.poolStats();
-    ChurnPoint p;
-    p.tokensPerS = double(scheduler.stats().decodedTokens) / s;
-    p.peakKvBytes = ps.peakAllocatedBytes();
-    p.peakCommittedBytes = ps.peakCommittedBytes();
-    p.createdBlocks = ps.createdBlocks;
-    p.allocations = ps.allocations;
-    p.reuses = ps.reuses;
-    p.blockTokens = ps.blockTokens;
-    return p;
-}
-
-ChurnPoint
-runChurn(SyntheticModel &model, const KernelContext &kc,
-         const ChurnSpec &spec, KVCacheMode mode, bool paged)
-{
-    ChurnPoint best = runChurnOnce(model, kc, spec, mode, paged);
-    for (int i = 0; i < 2; ++i) {
-        const ChurnPoint again = runChurnOnce(model, kc, spec, mode, paged);
-        if (again.tokensPerS > best.tokensPerS)
-            best = again;
-    }
-    return best;
-}
-
-// ---- Shared-system-prompt mixed batch: COW prefix caching ---------------
-
+/** A leader whose prompt covers the system prompt with whole blocks plus
+ *  followers that share it and diverge in short private suffixes (kept
+ *  short so their own inserts deduplicate against the leader's entry
+ *  instead of pinning new blocks). blockTokens is 16 with rowChunk 8, so
+ *  the fp32 arm COW-faults on the mid-block divergence row and the
+ *  quantized arm on the chunk-aligned mid-page match. */
 struct PrefixSpec
 {
     int sysLen = 40;
@@ -321,12 +319,6 @@ struct PrefixSpec
     std::vector<GenRequest> requests; ///< leader first
 };
 
-/** A leader whose prompt covers the system prompt with whole blocks plus
- *  followers that share it and diverge in short private suffixes (kept
- *  short so their own inserts deduplicate against the leader's entry
- *  instead of pinning new blocks). blockTokens is 16 with rowChunk 8, so
- *  the fp32 arm COW-faults on the mid-block divergence row and the
- *  quantized arm on the chunk-aligned mid-page match. */
 PrefixSpec
 prefixSpec(bool smoke)
 {
@@ -356,94 +348,6 @@ prefixSpec(bool smoke)
         spec.requests.push_back(r);
     }
     return spec;
-}
-
-struct PrefixPoint
-{
-    double tokensPerS = 0.0;
-    size_t peakKvBytes = 0;
-    int64_t skippedRows = 0;
-    int64_t hits = 0;
-    int64_t cowCopies = 0;
-    int64_t shares = 0;
-    bool refcountsOk = true;
-    std::vector<GenResult> results;
-};
-
-PrefixPoint
-runPrefixOnce(SyntheticModel &model, const KernelContext &kc,
-              const PrefixSpec &spec, KVCacheMode mode, bool sharing)
-{
-    SchedulerOptions options;
-    options.maxBatch = spec.maxBatch;
-    options.vocabSize = 256;
-    options.decode.kernels = &kc;
-    options.decode.cache.mode = mode;
-    options.decode.cache.tender.rowChunk = 8;
-    options.decode.cache.blockTokens = 16;
-    options.prefixCache = sharing;
-    BatchScheduler scheduler(model, options);
-    const auto t0 = Clock::now();
-    // Warm the cache with the leader's prefill before the followers
-    // arrive — the serving pattern prefix caching exists for (a system
-    // prompt computed once, reused across the fleet).
-    scheduler.submit(spec.requests.front());
-    scheduler.step();
-    for (size_t i = 1; i < spec.requests.size(); ++i)
-        scheduler.submit(spec.requests[i]);
-    auto results = scheduler.drain();
-    const double s = std::chrono::duration<double>(Clock::now() - t0)
-                         .count();
-    TENDER_CHECK(results.size() == spec.requests.size());
-    PrefixPoint p;
-    p.tokensPerS = double(scheduler.stats().decodedTokens) / s;
-    const BlockPoolStats ps = scheduler.poolStats();
-    p.peakKvBytes = ps.peakAllocatedBytes();
-    p.skippedRows = scheduler.stats().prefillSkippedRows;
-    p.hits = scheduler.stats().prefixHits;
-    p.cowCopies = ps.cowCopies;
-    p.shares = ps.shares;
-    p.results = std::move(results);
-    // Refcount audit: after drain only entry-held blocks survive, and
-    // clearing the prefix cache must hand every block back to the pool.
-    p.refcountsOk = scheduler.pool().refcountsConsistent();
-    if (scheduler.prefixCache() != nullptr) {
-        scheduler.prefixCache()->clear();
-        const BlockPoolStats after = scheduler.poolStats();
-        p.refcountsOk = p.refcountsOk && after.allocatedBlocks == 0 &&
-            after.reservedBlocks == 0 && after.sharedBlocks == 0 &&
-            scheduler.pool().refcountsConsistent();
-    }
-    return p;
-}
-
-PrefixPoint
-runPrefix(SyntheticModel &model, const KernelContext &kc,
-          const PrefixSpec &spec, KVCacheMode mode, bool sharing, int reps)
-{
-    PrefixPoint best = runPrefixOnce(model, kc, spec, mode, sharing);
-    for (int r = 1; r < reps; ++r) {
-        PrefixPoint again = runPrefixOnce(model, kc, spec, mode, sharing);
-        again.refcountsOk = again.refcountsOk && best.refcountsOk;
-        if (again.tokensPerS > best.tokensPerS)
-            best = std::move(again);
-        else
-            best.refcountsOk = best.refcountsOk && again.refcountsOk;
-    }
-    return best;
-}
-
-/** Same per-request tokens with and without sharing (per id; drain sorts
- *  by id, so positions correspond). */
-bool
-sameTokens(const std::vector<GenResult> &a, const std::vector<GenResult> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i)
-        if (a[i].id != b[i].id || a[i].tokens != b[i].tokens)
-            return false;
-    return true;
 }
 
 /** Adopted quantized pages must read bit-identically to a cold cache that
@@ -480,8 +384,8 @@ sharedPagesBitIdentical(const ModelConfig &config)
     KVCache cold(config, qc, &pool);
     for (int l = 0; l < config.nLayers; ++l)
         cold.append(l, k, v);
-    for (int l = 0; l < config.nLayers; ++l) {
-        for (int h = 0; h < config.kvHeads; ++h) {
+    for (int l = 0; l < config.nLayers; ++l)
+        for (int h = 0; h < config.kvHeads; ++h)
             for (const bool value : {false, true}) {
                 const KVCodeView a = value ? adopted.valueView(l, h)
                                            : adopted.keyView(l, h);
@@ -499,12 +403,8 @@ sharedPagesBitIdentical(const ModelConfig &config)
                         return false;
                 }
             }
-        }
-    }
     return true;
 }
-
-// ---- Mixed-traffic serving scenario -------------------------------------
 
 /** Chat turns (interactive, shared system prompt, sampled), long-document
  *  prefills (batch class, long unique prompts, short budgets), and short
@@ -584,87 +484,33 @@ trafficSpec(const ModelConfig &config, const KVCacheConfig &cache,
     return spec;
 }
 
-struct TrafficPoint
+ServeSessionOptions
+trafficOptions(const KernelContext &kc, const TrafficSpec &spec,
+               int max_batch)
 {
-    double tokensPerS = 0.0;
-    int64_t overtakes = 0;
-    int64_t deferred = 0;
-    int64_t prefixHits = 0;
-    LatencyStats interactive;
-    LatencyStats batch;
-    std::vector<std::vector<int>> tokens; ///< by spec request index
-};
-
-TrafficPoint
-runTrafficOnce(SyntheticModel &model, const KernelContext &kc,
-               const TrafficSpec &spec, bool reversed, int max_batch)
-{
-    ServeSessionOptions options;
-    options.scheduler.maxBatch = max_batch;
-    options.scheduler.vocabSize = 256;
-    options.scheduler.decode.kernels = &kc;
-    options.scheduler.decode.cache.blockTokens = 16;
-    options.scheduler.kvPoolBlocks = spec.poolBlocks;
-    options.scheduler.prefixCache = true;
-    ServeSession session(model, options);
-
-    std::vector<int> ids(spec.requests.size(), -1);
-    const auto t0 = Clock::now();
-    if (reversed) {
-        for (size_t i = spec.requests.size(); i-- > 0;)
-            ids[i] = session.submit(spec.requests[i]);
-    } else {
-        for (size_t i = 0; i < spec.requests.size(); ++i)
-            ids[i] = session.submit(spec.requests[i]);
-    }
-    session.drain();
-    const double s = std::chrono::duration<double>(Clock::now() - t0)
-                         .count();
-
-    TrafficPoint p;
-    p.tokensPerS =
-        double(session.scheduler().stats().decodedTokens) / s;
-    p.overtakes = session.scheduler().stats().overtakes;
-    p.deferred = session.scheduler().stats().deferred;
-    p.prefixHits = session.scheduler().stats().prefixHits;
-    p.interactive = session.latency(Priority::Interactive);
-    p.batch = session.latency(Priority::Batch);
-    p.tokens.resize(spec.requests.size());
-    for (size_t i = 0; i < spec.requests.size(); ++i) {
-        const ServeResult *r = session.result(ids[i]);
-        TENDER_CHECK(r != nullptr &&
-                     r->state == RequestState::Finished);
-        p.tokens[i] = r->tokens;
-    }
-    return p;
+    ServeSessionOptions o;
+    o.scheduler.maxBatch = max_batch;
+    o.scheduler.vocabSize = 256;
+    o.scheduler.decode.kernels = &kc;
+    o.scheduler.decode.cache.blockTokens = 16;
+    o.scheduler.kvPoolBlocks = spec.poolBlocks;
+    o.scheduler.prefixCache = true;
+    return o;
 }
 
-/** The scenario's gated invariant: every request's sampled tokens are
- *  identical under reversed admission, a different batch cap, and a
- *  different worker count — the serving-layer extension of the runtime's
- *  scheduling-independence contract. */
-bool
-trafficOrderIndependent(SyntheticModel &model, const KernelContext &kc,
-                        const TrafficSpec &spec, const TrafficPoint &base)
+/** Submit every request, in spec order or reversed; ids in spec order. */
+Driver
+submitAll(const std::vector<ServeRequest> &requests, bool reversed)
 {
-    const KernelContext alt(kc.backend(),
-                            std::max(1, kc.workers() / 2) + 1);
-    const TrafficPoint reversed =
-        runTrafficOnce(model, kc, spec, true, spec.maxBatch);
-    const TrafficPoint rebatched =
-        runTrafficOnce(model, kc, spec, false,
-                       std::max(1, spec.maxBatch - 1));
-    const TrafficPoint reworked =
-        runTrafficOnce(model, alt, spec, true, spec.maxBatch + 2);
-    for (size_t i = 0; i < spec.requests.size(); ++i)
-        if (base.tokens[i] != reversed.tokens[i] ||
-            base.tokens[i] != rebatched.tokens[i] ||
-            base.tokens[i] != reworked.tokens[i])
-            return false;
-    return true;
+    return [&requests, reversed](ServeSession &s) {
+        std::vector<int> ids(requests.size(), -1);
+        for (size_t i = 0; i < requests.size(); ++i) {
+            const size_t at = reversed ? requests.size() - 1 - i : i;
+            ids[at] = s.submit(requests[at]);
+        }
+        return ids;
+    };
 }
-
-// ---- Preemption under pool pressure -------------------------------------
 
 /** Batch-class requests with long budgets fill a bounded pool; a burst of
  *  sampled Interactive requests arrives a few steps later. With
@@ -730,237 +576,30 @@ pressureSpec(const ModelConfig &config, const KVCacheConfig &cache,
     return spec;
 }
 
-struct PressurePoint
+/** Repetitive-suffix workload: prompts whose greedy continuation the
+ *  prompt-lookup drafter can latch onto (each request a different short
+ *  cycle), the regime speculation exists to accelerate — agentic and
+ *  template-heavy decode where the continuation echoes the context. */
+std::vector<GenRequest>
+specWorkload(int batch, int prompt_len, int new_tokens, DrafterKind drafter,
+             int max_draft)
 {
-    double tokensPerS = 0.0;
-    int64_t preemptions = 0;
-    int64_t resumes = 0;
-    int64_t deferred = 0;
-    int64_t reusedRows = 0;
-    bool accountingOk = true;
-    LatencyStats interactive;
-    LatencyStats batch;
-    std::vector<std::vector<int>> tokens; ///< by spec submit order
-};
-
-PressurePoint
-runPressure(SyntheticModel &model, const KernelContext &kc,
-            const PressureSpec &spec, KVCacheMode mode, int max_preemptions)
-{
-    ServeSessionOptions options;
-    options.scheduler.maxBatch = spec.maxBatch;
-    options.scheduler.vocabSize = 256;
-    options.scheduler.decode.kernels = &kc;
-    options.scheduler.decode.cache.mode = mode;
-    options.scheduler.decode.cache.blockTokens = 16;
-    options.scheduler.decode.cache.tender.rowChunk = 16;
-    options.scheduler.kvPoolBlocks = spec.poolBlocks;
-    options.scheduler.prefixCache = true;
-    options.scheduler.maxPreemptions = max_preemptions;
-    ServeSession session(model, options);
-
-    std::vector<int> ids;
-    const auto t0 = Clock::now();
-    for (const ServeRequest &r : spec.batchReqs)
-        ids.push_back(session.submit(r));
-    for (int s = 0; s < spec.warmSteps; ++s)
-        session.step();
-    for (const ServeRequest &r : spec.interactive)
-        ids.push_back(session.submit(r));
-    session.drain();
-    const double s = std::chrono::duration<double>(Clock::now() - t0)
-                         .count();
-
-    PressurePoint p;
-    const SchedulerStats &st = session.scheduler().stats();
-    p.tokensPerS = double(st.decodedTokens) / s;
-    p.preemptions = st.preemptions;
-    p.resumes = st.resumes;
-    p.deferred = st.deferred;
-    p.reusedRows = st.resumedRowsReused;
-    p.interactive = session.latency(Priority::Interactive);
-    p.batch = session.latency(Priority::Batch);
-    for (const int id : ids) {
-        const ServeResult *r = session.result(id);
-        TENDER_CHECK(r != nullptr && r->state == RequestState::Finished);
-        p.tokens.push_back(r->tokens);
+    std::vector<GenRequest> requests;
+    for (int id = 0; id < batch; ++id) {
+        GenRequest r;
+        r.id = id;
+        const int period = 2 + id % 3;
+        for (int t = 0; t < prompt_len; ++t)
+            r.promptTokens.push_back(3 + id * 5 + t % period);
+        r.maxNewTokens = new_tokens;
+        r.speculation.drafter = drafter;
+        r.speculation.maxDraft = max_draft;
+        requests.push_back(r);
     }
-    // Park accounting must settle to zero and every block must come home
-    // once the prefix cache lets go of the parked pages.
-    BlockPoolStats ps = session.scheduler().poolStats();
-    p.accountingOk = session.scheduler().pool().refcountsConsistent() &&
-        ps.parkedBlocks == 0 && ps.parks == ps.unparks;
-    session.scheduler().prefixCache()->clear();
-    ps = session.scheduler().poolStats();
-    p.accountingOk = p.accountingOk && ps.allocatedBlocks == 0 &&
-        ps.reservedBlocks == 0 && ps.sharedBlocks == 0 &&
-        session.scheduler().pool().refcountsConsistent();
-    return p;
+    return requests;
 }
 
-bool
-sameTokenVectors(const std::vector<std::vector<int>> &a,
-                 const std::vector<std::vector<int>> &b)
-{
-    return a == b;
-}
-
-// ---- Fault churn: containment under a seeded fault plan -----------------
-
-/** One decode arm of the fault-churn scenario. */
-struct FaultArm
-{
-    const char *name; ///< JSON key: fp32 | tender | tender_fused
-    KVCacheMode mode;
-    bool fused;
-    bool prefixCache; ///< off in quantized arms (scheme-free, but the
-                      ///< quantized prefix grain is exercised elsewhere)
-};
-
-/** One session run of the fault-churn workload (faulted or reference). */
-struct FaultRun
-{
-    std::vector<ServeResult> results; ///< spec order, then doomed extras
-    double seconds = 0.0;
-    bool accountingOk = true;
-};
-
-/** Aggregated fault-churn measurements of one arm. */
-struct FaultChurnPoint
-{
-    double survivorTokensPerS = 0.0;
-    int finished = 0;
-    int failed = 0;
-    int shedQueueFull = 0;
-    int shedDeadline = 0;
-    int64_t allocFaults = 0;    ///< injector triggers fired at "alloc"
-    int64_t callbackFaults = 0; ///< fired at "callback"
-    bool survivorsBitexact = true;
-    bool accountingOk = true;
-};
-
-FaultRun
-runFaultOnce(SyntheticModel &model, const KernelContext &kc,
-             const TrafficSpec &spec, const FaultArm &arm, bool shed)
-{
-    ServeSessionOptions options;
-    options.scheduler.maxBatch = spec.maxBatch;
-    options.scheduler.vocabSize = 256;
-    options.scheduler.decode.kernels = &kc;
-    options.scheduler.decode.cache.mode = arm.mode;
-    options.scheduler.decode.cache.blockTokens = 16;
-    options.scheduler.decode.cache.tender.rowChunk = 16;
-    options.scheduler.decode.fusedQuantKv = arm.fused;
-    options.scheduler.kvPoolBlocks = spec.poolBlocks;
-    options.scheduler.prefixCache = arm.prefixCache;
-    // Queue bound sized so exactly the last two workload submissions are
-    // shed at the front door (the two doomed requests below occupy two
-    // queue slots before the workload arrives, and nothing is admitted
-    // until the first step).
-    if (shed)
-        options.scheduler.maxQueueDepth = int(spec.requests.size());
-    ServeSession session(model, options);
-
-    std::vector<int> doomed_ids;
-    const auto t0 = Clock::now();
-    if (shed) {
-        // Two doomed stragglers submitted first: their 1 us deadline
-        // expires before the first step's sweep runs, so they are shed
-        // as DeadlineExceeded deterministically.
-        for (int i = 0; i < 2; ++i) {
-            ServeRequest r = spec.requests[size_t(i)];
-            r.deadlineUs = 1;
-            doomed_ids.push_back(session.submit(r));
-        }
-    }
-    std::vector<int> ids;
-    for (const ServeRequest &req : spec.requests) {
-        ServeRequest r = req;
-        r.onEvent = [](const StreamEvent &) {}; // exposes the callback site
-        ids.push_back(session.submit(r));
-    }
-    session.drain();
-    FaultRun run;
-    run.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-    for (const int id : ids)
-        run.results.push_back(*session.result(id));
-    for (const int id : doomed_ids)
-        run.results.push_back(*session.result(id));
-
-    // Leak audit: whatever faulted, every block and reservation must be
-    // home once the session drains and the prefix cache lets go.
-    BlockPoolStats ps = session.poolStats();
-    run.accountingOk = session.scheduler().pool().refcountsConsistent() &&
-                       ps.parkedBlocks == 0;
-    if (session.scheduler().prefixCache())
-        session.scheduler().prefixCache()->clear();
-    ps = session.poolStats();
-    run.accountingOk = run.accountingOk && ps.allocatedBlocks == 0 &&
-                       ps.reservedBlocks == 0 && ps.sharedBlocks == 0;
-    return run;
-}
-
-FaultChurnPoint
-runFaultChurn(SyntheticModel &model, const KernelContext &kc,
-              const TrafficSpec &spec, const FaultArm &arm,
-              const std::string &plan)
-{
-    // Fault-free reference: every request must finish; its tokens are the
-    // survivors' bit-exactness baseline.
-    FaultInjector::instance().disarm();
-    const FaultRun base = runFaultOnce(model, kc, spec, arm, false);
-
-    FaultInjector::instance().arm(plan);
-    const FaultRun chaos = runFaultOnce(model, kc, spec, arm, true);
-    FaultChurnPoint p;
-    p.allocFaults = FaultInjector::instance().fired(FaultSite::AllocFail);
-    p.callbackFaults =
-        FaultInjector::instance().fired(FaultSite::CallbackThrow);
-    FaultInjector::instance().disarm();
-
-    p.accountingOk = base.accountingOk && chaos.accountingOk;
-    for (const ServeResult &r : base.results)
-        if (r.state != RequestState::Finished)
-            p.survivorsBitexact = false;
-    int64_t survivor_tokens = 0;
-    for (size_t i = 0; i < chaos.results.size(); ++i) {
-        const ServeResult &r = chaos.results[i];
-        if (r.state == RequestState::Finished) {
-            ++p.finished;
-            survivor_tokens += int64_t(r.tokens.size());
-            // The containment contract: a request the plan did not fail
-            // generates exactly the fault-free run's tokens.
-            if (i < base.results.size() &&
-                r.tokens != base.results[i].tokens)
-                p.survivorsBitexact = false;
-        } else {
-            ++p.failed;
-            if (r.failure == FailureReason::QueueOverflow)
-                ++p.shedQueueFull;
-            else if (r.failure == FailureReason::DeadlineExceeded)
-                ++p.shedDeadline;
-        }
-    }
-    p.survivorTokensPerS = double(survivor_tokens) / chaos.seconds;
-    return p;
-}
-
-// ---- Recorded correctness invariants ------------------------------------
-
-struct Correctness
-{
-    bool fp32BitExact = false;
-    double tenderNmse = 0.0;
-    double tenderNmseBound = 2e-3;
-    /** Fused integer-domain attention vs the dequantize-on-read oracle,
-     *  same quantized cache — isolates the fused path's own error (query
-     *  quantization on frozen chunks). */
-    double fusedNmse = 0.0;
-    double fusedNmseBound = 2e-3;
-    /** MQ-panel decode == per-head decode, bit for bit, in every KV mode
-     *  on both model shapes (the panels' row-locality contract). */
-    bool mqPanelBitExact = false;
-};
+// ---- Untimed invariants ---------------------------------------------------
 
 /** Teacher-forced decode of `input` under `base` on `kc` (prefill 8
  *  rows, then row at a time). */
@@ -971,21 +610,16 @@ teacherForcedDecode(SyntheticModel &model, const Matrix &input,
     DecodeOptions options = base;
     options.kernels = &kc;
     DecodeEngine engine(model, options);
-    Matrix out(input.rows(), input.cols());
-    const Matrix pre = engine.prefill(input.rowSlice(0, 8));
-    for (int r = 0; r < 8; ++r)
-        for (int col = 0; col < input.cols(); ++col)
-            out(r, col) = pre(r, col);
+    Matrix out = engine.prefill(input.rowSlice(0, 8));
     for (int r = 8; r < input.rows(); ++r) {
         const Matrix h = engine.step(input.rowSlice(r, r + 1));
-        for (int col = 0; col < input.cols(); ++col)
-            out(r, col) = h(0, col);
+        out.resizeRows(r + 1);
+        std::copy(h.rowPtr(0), h.rowPtr(0) + h.cols(), out.rowPtr(r));
     }
     return out;
 }
 
-/** MQ-panel decode vs per-head decode over every KV mode for one model:
- *  bit equality, the panels' row-locality contract made machine-checked. */
+/** MQ-panel decode vs per-head decode over every KV mode for one model. */
 bool
 mqPanelBitExactFor(SyntheticModel &model, const KernelContext &kc)
 {
@@ -1008,272 +642,41 @@ mqPanelBitExactFor(SyntheticModel &model, const KernelContext &kc)
     return true;
 }
 
-Correctness
-checkCorrectness(SyntheticModel &model, SyntheticModel &gqa_model,
-                 const KernelContext &kc)
+/** The correctness block. The reference forward runs on the decode's own
+ *  context: the packed arm is NMSE-gated (not bit-parity) against the
+ *  golden kernels, so comparing like with like keeps
+ *  fp32_decode_bit_exact a pure decode-vs-prefill invariant. */
+void
+recordCorrectness(JsonOut &out, SyntheticModel &model,
+                  SyntheticModel &gqa_model, const KernelContext &kc)
 {
-    Correctness c;
     const Matrix input = model.sampleInput(24, 3);
-    // The reference forward runs on the same context as the decode under
-    // test: the packed arm is NMSE-gated (not bit-parity) against the
-    // golden kernels, so comparing like with like is what makes the
-    // fp32_decode_bit_exact field a pure decode-vs-prefill invariant.
     const Matrix full = modelForward(model, input, &kc);
-
-    auto decode = [&](const DecodeOptions &base) {
-        return teacherForcedDecode(model, input, base, kc);
-    };
-
-    const Matrix fp32 = decode(DecodeOptions{});
-    c.fp32BitExact = maxAbsDiff(full, fp32) == 0.f;
+    const Matrix fp32 = teacherForcedDecode(model, input, {}, kc);
+    out.flag("correctness.fp32_decode_bit_exact",
+             maxAbsDiff(full, fp32) == 0.f);
 
     DecodeOptions quant;
     quant.cache.mode = KVCacheMode::TenderQuantized;
     quant.cache.tender.rowChunk = 16;
-    const Matrix dequant = decode(quant);
-    c.tenderNmse = nmse(fp32, dequant);
-
+    const Matrix dequant = teacherForcedDecode(model, input, quant, kc);
     DecodeOptions fused = quant;
     fused.fusedQuantKv = true;
-    c.fusedNmse = nmse(dequant, decode(fused));
-
-    c.mqPanelBitExact =
-        mqPanelBitExactFor(model, kc) && mqPanelBitExactFor(gqa_model, kc);
-    return c;
-}
-
-// ---- Speculative decoding scenario --------------------------------------
-
-/** One (drafter, k) point of the spec_decode scenario. */
-struct SpecPoint
-{
-    double tokensPerS = 0.0;
-    double acceptance = 0.0; ///< accepted / drafted draft tokens
-    int64_t drafted = 0;
-    int64_t accepted = 0;
-    int64_t steps = 0;
-    bool bitexact = true; ///< tokens == the plain run's, per request
-};
-
-/** Repetitive-suffix workload: prompts whose greedy continuation the
- *  prompt-lookup drafter can latch onto (each request a different short
- *  cycle), the regime speculation exists to accelerate — agentic and
- *  template-heavy decode where the continuation echoes the context. */
-std::vector<GenRequest>
-specWorkload(int batch, int prompt_len, int new_tokens,
-             DrafterKind drafter, int max_draft)
-{
-    std::vector<GenRequest> requests;
-    for (int id = 0; id < batch; ++id) {
-        GenRequest r;
-        r.id = id;
-        const int period = 2 + id % 3;
-        for (int t = 0; t < prompt_len; ++t)
-            r.promptTokens.push_back(3 + id * 5 + t % period);
-        r.maxNewTokens = new_tokens;
-        r.speculation.drafter = drafter;
-        r.speculation.maxDraft = max_draft;
-        requests.push_back(r);
+    const double bound = 2e-3;
+    const std::pair<const char *, double> nmses[] = {
+        {"correctness.tender_kv_nmse", nmse(fp32, dequant)},
+        // Fused vs the dequantize oracle on the same cache: the fused
+        // path's own error (query quantization on frozen chunks).
+        {"correctness.fused_attention_nmse",
+         nmse(dequant, teacherForcedDecode(model, input, fused, kc))}};
+    for (const auto &[path, value] : nmses) {
+        out.set(path, value);
+        out.set(std::string(path) + "_bound", bound);
+        out.gate(path, value >= 0.0 && value <= bound);
     }
-    return requests;
-}
-
-SpecPoint
-runSpecOnce(SyntheticModel &model, const KernelContext &kc,
-            KVCacheMode mode, bool fused, DrafterKind drafter,
-            int max_draft, int batch, int prompt_len, int new_tokens,
-            const std::vector<GenResult> *plain,
-            std::vector<GenResult> *out_results = nullptr)
-{
-    SchedulerOptions options;
-    options.maxBatch = batch;
-    options.vocabSize = 256;
-    options.decode.kernels = &kc;
-    options.decode.cache.mode = mode;
-    options.decode.cache.tender.rowChunk = 16;
-    options.decode.fusedQuantKv = fused;
-    BatchScheduler scheduler(model, options);
-    for (const GenRequest &r :
-         specWorkload(batch, prompt_len, new_tokens, drafter, max_draft))
-        scheduler.submit(r);
-    const auto t0 = Clock::now();
-    const std::vector<GenResult> results = scheduler.drain();
-    const double s =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    SpecPoint p;
-    p.tokensPerS = double(scheduler.stats().decodedTokens) / s;
-    p.drafted = scheduler.stats().draftedTokens;
-    p.accepted = scheduler.stats().acceptedDraftTokens;
-    p.steps = scheduler.stats().steps;
-    p.acceptance =
-        p.drafted > 0 ? double(p.accepted) / double(p.drafted) : 0.0;
-    if (plain) {
-        TENDER_CHECK(plain->size() == results.size());
-        for (size_t i = 0; i < results.size(); ++i)
-            p.bitexact = p.bitexact &&
-                         results[i].tokens == (*plain)[i].tokens;
-    }
-    if (out_results)
-        *out_results = results;
-    return p;
-}
-
-/** Best-of-reps wrapper keeping the bit-identity AND across reps.
- *  `out_results` (optional) receives the first rep's tokens — generation
- *  is deterministic, so every rep produces the same ones. */
-SpecPoint
-runSpec(SyntheticModel &model, const KernelContext &kc, KVCacheMode mode,
-        bool fused, DrafterKind drafter, int max_draft, int batch,
-        int prompt_len, int new_tokens, int reps,
-        const std::vector<GenResult> *plain,
-        std::vector<GenResult> *out_results = nullptr)
-{
-    SpecPoint best =
-        runSpecOnce(model, kc, mode, fused, drafter, max_draft, batch,
-                    prompt_len, new_tokens, plain, out_results);
-    for (int r = 1; r < reps; ++r) {
-        SpecPoint p =
-            runSpecOnce(model, kc, mode, fused, drafter, max_draft, batch,
-                        prompt_len, new_tokens, plain);
-        p.bitexact = p.bitexact && best.bitexact;
-        if (p.tokensPerS > best.tokensPerS)
-            best = p;
-        else
-            best.bitexact = best.bitexact && p.bitexact;
-    }
-    return best;
-}
-
-// ---- JSON emission ------------------------------------------------------
-
-void
-emitMode(FILE *f, const char *key, const std::vector<BatchPoint> &points,
-         bool trailing_comma)
-{
-    std::fprintf(f, "  \"%s\": {\n", key);
-    for (size_t i = 0; i < points.size(); ++i) {
-        const BatchPoint &p = points[i];
-        std::fprintf(f,
-                     "    \"batch_%d\": {\"tokens_per_s\": %.2f, "
-                     "\"steps_per_s\": %.2f, \"steps\": %lld, "
-                     "\"cache_bytes_per_request\": %zu}%s\n",
-                     p.batch, p.tokensPerS, p.stepsPerS,
-                     (long long)p.steps, p.cacheBytesPerRequest,
-                     i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  }%s\n", trailing_comma ? "," : "");
-}
-
-void
-emitChurnArm(FILE *f, const char *key, const ChurnPoint &p,
-             bool trailing_comma)
-{
-    std::fprintf(f,
-                 "    \"%s\": {\"tokens_per_s\": %.2f, "
-                 "\"peak_kv_bytes\": %zu, \"peak_committed_bytes\": %zu, "
-                 "\"block_tokens\": %zu, \"created_blocks\": %zu, "
-                 "\"allocations\": %lld, \"reuses\": %lld}%s\n",
-                 key, p.tokensPerS, p.peakKvBytes, p.peakCommittedBytes,
-                 p.blockTokens, p.createdBlocks, (long long)p.allocations,
-                 (long long)p.reuses, trailing_comma ? "," : "");
-}
-
-void
-emitPrefixMode(FILE *f, const char *key, const PrefixPoint &shared,
-               const PrefixPoint &cold)
-{
-    std::fprintf(f, "    \"%s\": {\n", key);
-    std::fprintf(f,
-                 "      \"shared\": {\"tokens_per_s\": %.2f, "
-                 "\"peak_kv_bytes\": %zu, \"prefill_rows_skipped\": %lld, "
-                 "\"prefix_hits\": %lld, \"cow_copies\": %lld, "
-                 "\"shares\": %lld},\n",
-                 shared.tokensPerS, shared.peakKvBytes,
-                 (long long)shared.skippedRows, (long long)shared.hits,
-                 (long long)shared.cowCopies, (long long)shared.shares);
-    std::fprintf(f,
-                 "      \"cold\": {\"tokens_per_s\": %.2f, "
-                 "\"peak_kv_bytes\": %zu},\n",
-                 cold.tokensPerS, cold.peakKvBytes);
-    std::fprintf(f, "      \"peak_kv_bytes_ratio\": %.3f,\n",
-                 double(cold.peakKvBytes) / double(shared.peakKvBytes));
-    std::fprintf(f, "      \"tokens_per_s_ratio\": %.3f\n",
-                 shared.tokensPerS / cold.tokensPerS);
-    std::fprintf(f, "    },\n");
-}
-
-void
-emitTrafficClass(FILE *f, const char *key, const LatencyStats &l)
-{
-    std::fprintf(f,
-                 "    \"%s\": {\"requests\": %d, \"tokens\": %lld, "
-                 "\"ttft_p50_us\": %.1f, \"ttft_p95_us\": %.1f, "
-                 "\"itl_p50_us\": %.1f, \"itl_p95_us\": %.1f},\n",
-                 key, l.requests, (long long)l.tokens, l.ttftP50Us,
-                 l.ttftP95Us, l.itlP50Us, l.itlP95Us);
-}
-
-void
-emitPressureMode(FILE *f, const char *key, const PressurePoint &on,
-                 const PressurePoint &off, bool trailing_comma)
-{
-    std::fprintf(f, "    \"%s\": {\n", key);
-    for (const auto *arm : {&on, &off}) {
-        const bool is_on = arm == &on;
-        std::fprintf(f, "      \"%s\": {\n", is_on ? "on" : "off");
-        std::fprintf(f,
-                     "        \"tokens_per_s\": %.2f, "
-                     "\"preemptions\": %lld, \"resumes\": %lld, "
-                     "\"resumed_rows_reused\": %lld, \"deferred\": %lld,\n",
-                     arm->tokensPerS, (long long)arm->preemptions,
-                     (long long)arm->resumes, (long long)arm->reusedRows,
-                     (long long)arm->deferred);
-        for (const bool batch_class : {false, true}) {
-            const LatencyStats &l =
-                batch_class ? arm->batch : arm->interactive;
-            std::fprintf(f,
-                         "        \"%s\": {\"requests\": %d, "
-                         "\"tokens\": %lld, \"ttft_p50_us\": %.1f, "
-                         "\"ttft_p95_us\": %.1f, \"itl_p50_us\": %.1f, "
-                         "\"itl_p95_us\": %.1f, \"preemptions\": %d}%s\n",
-                         batch_class ? "batch" : "interactive", l.requests,
-                         (long long)l.tokens, l.ttftP50Us, l.ttftP95Us,
-                         l.itlP50Us, l.itlP95Us, l.preemptions,
-                         batch_class ? "" : ",");
-        }
-        std::fprintf(f, "      },\n");
-    }
-    std::fprintf(f, "      \"interactive_ttft_p95_ratio\": %.3f\n",
-                 off.interactive.ttftP95Us / on.interactive.ttftP95Us);
-    std::fprintf(f, "    }%s\n", trailing_comma ? "," : "");
-}
-
-void
-emitFaultArm(FILE *f, const char *key, const FaultChurnPoint &p)
-{
-    std::fprintf(f,
-                 "    \"%s\": {\"survivor_tokens_per_s\": %.2f, "
-                 "\"finished\": %d, \"failed\": %d, "
-                 "\"shed_queue_full\": %d, \"shed_deadline\": %d, "
-                 "\"alloc_faults\": %lld, \"callback_faults\": %lld},\n",
-                 key, p.survivorTokensPerS, p.finished, p.failed,
-                 p.shedQueueFull, p.shedDeadline,
-                 (long long)p.allocFaults, (long long)p.callbackFaults);
-}
-
-void
-emitChurn(FILE *f, const char *key, const ChurnPoint &paged,
-          const ChurnPoint &contiguous, bool trailing_comma)
-{
-    std::fprintf(f, "  \"%s\": {\n", key);
-    emitChurnArm(f, "paged", paged, true);
-    emitChurnArm(f, "contiguous", contiguous, true);
-    std::fprintf(f, "    \"peak_kv_bytes_ratio\": %.3f,\n",
-                 double(contiguous.peakKvBytes) /
-                     double(paged.peakKvBytes));
-    std::fprintf(f, "    \"tokens_per_s_ratio\": %.3f\n",
-                 paged.tokensPerS / contiguous.tokensPerS);
-    std::fprintf(f, "  }%s\n", trailing_comma ? "," : "");
+    out.flag("correctness.mq_panel_bitexact",
+             mqPanelBitExactFor(model, kc) &&
+                 mqPanelBitExactFor(gqa_model, kc));
 }
 
 } // namespace
@@ -1289,532 +692,449 @@ main(int argc, char **argv)
         else
             positional.push_back(argv[i]);
     }
+    const int hw = std::max(1, int(std::thread::hardware_concurrency()));
     const int prompt_len =
         positional.size() > 0 ? std::atoi(positional[0]) : (smoke ? 8 : 16);
     const int new_tokens =
         positional.size() > 1 ? std::atoi(positional[1]) : (smoke ? 6 : 32);
-    const int workers =
-        positional.size() > 2 ? std::atoi(positional[2]) : (smoke ? 2 : 8);
+    const int workers = positional.size() > 2
+        ? std::atoi(positional[2])
+        : (smoke ? std::min(2, hw) : hw);
     const char *out_path =
         positional.size() > 3 ? positional[3] : "BENCH_decode.json";
+    // Runs take milliseconds and the host's speed drifts between them,
+    // so medians need several rounds.
+    const int n_rounds = smoke ? 5 : 9;
 
     const ModelConfig config = replicaOf(modelByName("OPT-6.7B"), 32);
     SyntheticModel model(config, 5);
-    // GQA shape for the multi-query panel scenario: 4 query heads share
+    // GQA shape for the multi-query panel section: 4 query heads share
     // each kv head, so the panel batching has real work to amortize.
     const ModelConfig gqa_config = replicaOf(modelByName("Llama-2-70B"), 64);
     SyntheticModel gqa_model(gqa_config, 7);
     KernelContext kc(Backend::Packed, workers);
 
-    std::printf("== BENCH decode%s: %s (d=%d, layers=%d), prompt %d, "
-                "%d tokens/request, %d workers ==\n",
-                smoke ? " (smoke)" : "", config.name.c_str(), config.dModel,
-                config.nLayers, prompt_len, new_tokens, workers);
-    std::printf("kernel arm: %s (simd: %s)\n",
-                backendName(kc.backend()).c_str(),
-                simdDescription().c_str());
-
+    JsonOut out;
+    out.set("model.name", config.name);
+    out.set("model.d_model", config.dModel);
+    out.set("model.n_heads", config.nHeads);
+    out.set("model.n_layers", config.nLayers);
+    out.set("model.d_ffn", config.dFfn);
+    out.set("smoke", smoke);
+    out.set("prompt_tokens", prompt_len);
+    out.set("new_tokens_per_request", new_tokens);
+    out.set("workers", workers);
+    out.set("hardware_threads", hw);
+    out.set("rounds", n_rounds);
+    out.set("backend", backendName(kc.backend()));
+    out.set("simd", simdDescription());
+    // TENDER_BACKEND / TENDER_NUM_THREADS as this process resolved them.
+    out.set("default_backend", backendName(defaultKernels().backend()));
+    out.set("default_workers", defaultKernels().workers());
     // Machine-speed reference for check_bench.py's baseline comparison.
-    const double calibration = bench::calibrationScoreMflops();
-    std::printf("calibration (%s): %.1f MFLOP/s\n",
-                bench::kCalibrationWorkload, calibration);
+    out.set("calibration.workload", bench::kCalibrationWorkload);
+    out.set("calibration.score_mflops", bench::calibrationScoreMflops());
 
     // Warm the lazily generated weights out of the measurement.
-    runBatch(model, kc, 1, prompt_len, 2, KVCacheMode::Fp32);
+    runScheduler(model, schedulerOptions(kc, kFp32, 1),
+                 batchRequests(1, prompt_len, 2));
+    runScheduler(gqa_model, schedulerOptions(kc, kFp32, 1),
+                 batchRequests(1, prompt_len, 2));
 
-    // Smoke runs feed the CI baseline comparison; best-of-3 keeps the
-    // recorded tokens/s stable enough to compare across runs.
-    const int reps = smoke ? 3 : 2;
+    // ---- Continuous batching: every batch size in every KV arm. -------
     const std::vector<int> batches =
         smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 4, 16};
-    std::vector<BatchPoint> fp32, quant, fusedq;
-    for (int b : batches) {
-        fp32.push_back(runBatch(model, kc, b, prompt_len, new_tokens,
-                                KVCacheMode::Fp32, /*fused=*/false, reps));
-        std::printf("fp32-KV   batch %2d: %8.1f tokens/s (%lld steps)\n",
-                    b, fp32.back().tokensPerS,
-                    (long long)fp32.back().steps);
-        quant.push_back(runBatch(model, kc, b, prompt_len, new_tokens,
-                                 KVCacheMode::TenderQuantized,
-                                 /*fused=*/false, reps));
-        std::printf("tender-KV batch %2d: %8.1f tokens/s (%lld steps)\n",
-                    b, quant.back().tokensPerS,
-                    (long long)quant.back().steps);
-        fusedq.push_back(runBatch(model, kc, b, prompt_len, new_tokens,
-                                  KVCacheMode::TenderQuantized,
-                                  /*fused=*/true, reps));
-        std::printf("fused-KV  batch %2d: %8.1f tokens/s (%lld steps)\n",
-                    b, fusedq.back().tokensPerS,
-                    (long long)fusedq.back().steps);
+    const KvArm kv_arms[] = {kFp32, kTender, kFused};
+    const char *kv_keys[] = {"fp32_kv", "tender_kv", "tender_kv_fused"};
+    std::vector<std::function<Run()>> arms;
+    for (const KvArm &arm : kv_arms)
+        for (const int b : batches)
+            arms.push_back([&, arm, b] {
+                return runScheduler(model, schedulerOptions(kc, arm, b),
+                                    batchRequests(b, prompt_len, new_tokens));
+            });
+    const auto batch_runs = bench::rounds(n_rounds, arms);
+    const auto at = [&](int arm, size_t batch) -> const std::vector<Run> & {
+        return batch_runs[size_t(arm) * batches.size() + batch];
+    };
+    for (int a = 0; a < 3; ++a) {
+        // One request's cache footprint at the end of its run.
+        DecodeEngine engine(model, schedulerOptions(kc, kv_arms[a], 1).decode);
+        engine.prefill(model.sampleInput(prompt_len + new_tokens - 1, 1));
+        const size_t bytes = engine.cache().storedBytes();
+        for (size_t i = 0; i < batches.size(); ++i) {
+            const std::string path = std::string(kv_keys[a]) + ".batch_" +
+                std::to_string(batches[i]);
+            recordArm(out, path, at(a, i));
+            out.set(path + ".cache_bytes_per_request", bytes);
+        }
     }
-    // Fused vs dequantize-oracle tokens/s at the largest batch — the
-    // number the fused path exists to move.
-    const double fused_ratio =
-        fusedq.back().tokensPerS / quant.back().tokensPerS;
-    std::printf("fused/dequantize tokens/s ratio at batch %d: %.2fx\n",
-                batches.back(), fused_ratio);
-    std::printf("continuous batching speedup (fp32-KV) vs batch 1:");
-    for (size_t i = 1; i < fp32.size(); ++i)
-        std::printf(" batch %d %.2fx%s", fp32[i].batch,
-                    fp32[i].tokensPerS / fp32[0].tokensPerS,
-                    i + 1 < fp32.size() ? "," : "\n");
+    const size_t last = batches.size() - 1;
+    recordRatio(out, "fused_over_dequant_tokens_ratio", at(2, last),
+                at(1, last));
+    for (size_t i = 1; i < batches.size(); ++i)
+        recordRatio(out,
+                    "fp32_batched_speedup.batch_" +
+                        std::to_string(batches[i]),
+                    at(0, i), at(0, 0));
 
-    // GQA multi-query panels on vs off, both KV modes, at the largest
-    // batch — the panel amortization the MQ restructure exists to buy.
+    // ---- GQA multi-query panels on vs off, at the largest batch. ------
     const int mq_batch = batches.back();
-    const BatchPoint mq_fp32_on =
-        runBatch(gqa_model, kc, mq_batch, prompt_len, new_tokens,
-                 KVCacheMode::Fp32, /*fused=*/false, reps, /*mq=*/true);
-    const BatchPoint mq_fp32_off =
-        runBatch(gqa_model, kc, mq_batch, prompt_len, new_tokens,
-                 KVCacheMode::Fp32, /*fused=*/false, reps, /*mq=*/false);
-    const BatchPoint mq_fused_on =
-        runBatch(gqa_model, kc, mq_batch, prompt_len, new_tokens,
-                 KVCacheMode::TenderQuantized, /*fused=*/true, reps,
-                 /*mq=*/true);
-    const BatchPoint mq_fused_off =
-        runBatch(gqa_model, kc, mq_batch, prompt_len, new_tokens,
-                 KVCacheMode::TenderQuantized, /*fused=*/true, reps,
-                 /*mq=*/false);
-    std::printf("mq panels (GQA %s, %d q-heads/kv-head, batch %d): fp32-KV "
-                "%.1f vs %.1f tok/s (%.2fx), fused-KV %.1f vs %.1f tok/s "
-                "(%.2fx)\n",
-                gqa_config.name.c_str(),
-                gqa_config.nHeads / gqa_config.kvHeads, mq_batch,
-                mq_fp32_on.tokensPerS, mq_fp32_off.tokensPerS,
-                mq_fp32_on.tokensPerS / mq_fp32_off.tokensPerS,
-                mq_fused_on.tokensPerS, mq_fused_off.tokensPerS,
-                mq_fused_on.tokensPerS / mq_fused_off.tokensPerS);
+    out.set("mq_panels.model", gqa_config.name);
+    out.set("mq_panels.q_heads_per_kv_head",
+            gqa_config.nHeads / gqa_config.kvHeads);
+    out.set("mq_panels.batch", mq_batch);
+    arms.clear();
+    for (const KvArm &arm : {kFp32, kFused})
+        for (const bool mq : {true, false})
+            arms.push_back([&, arm, mq] {
+                SchedulerOptions o = schedulerOptions(kc, arm, mq_batch);
+                o.decode.mqAttentionPanels = mq;
+                return runScheduler(
+                    gqa_model, o,
+                    batchRequests(mq_batch, prompt_len, new_tokens));
+            });
+    const auto mq_runs = bench::rounds(n_rounds, arms);
+    for (size_t a = 0; a < 2; ++a) {
+        const std::string path = a == 0 ? "mq_panels.fp32_kv"
+                                        : "mq_panels.tender_kv_fused";
+        recordArm(out, path + ".on", mq_runs[2 * a]);
+        recordArm(out, path + ".off", mq_runs[2 * a + 1]);
+        recordRatio(out, path + ".ratio", mq_runs[2 * a], mq_runs[2 * a + 1]);
+    }
 
-    const ChurnSpec spec = churnSpec(smoke);
-    const ChurnPoint churn_fp32_paged =
-        runChurn(model, kc, spec, KVCacheMode::Fp32, true);
-    const ChurnPoint churn_fp32_contig =
-        runChurn(model, kc, spec, KVCacheMode::Fp32, false);
-    const ChurnPoint churn_tender_paged =
-        runChurn(model, kc, spec, KVCacheMode::TenderQuantized, true);
-    const ChurnPoint churn_tender_contig =
-        runChurn(model, kc, spec, KVCacheMode::TenderQuantized, false);
-    std::printf("churn (%zu mixed requests, maxBatch %d): fp32 paged "
-                "%.1f tok/s peak %zu B vs contiguous %.1f tok/s peak %zu B "
-                "(%.2fx smaller)\n",
-                spec.requests.size(), spec.maxBatch,
-                churn_fp32_paged.tokensPerS, churn_fp32_paged.peakKvBytes,
-                churn_fp32_contig.tokensPerS, churn_fp32_contig.peakKvBytes,
-                double(churn_fp32_contig.peakKvBytes) /
-                    double(churn_fp32_paged.peakKvBytes));
-    std::printf("churn tender-KV: paged peak %zu B vs contiguous %zu B "
-                "(%.2fx smaller)\n",
-                churn_tender_paged.peakKvBytes,
-                churn_tender_contig.peakKvBytes,
-                double(churn_tender_contig.peakKvBytes) /
-                    double(churn_tender_paged.peakKvBytes));
+    // ---- Churned mixed batch: paged blocks vs per-request slabs. ------
+    // Both arms run the same paged machinery; the contiguous arm sets
+    // blockTokens to the largest request's footprint, so every store
+    // holds one slab-sized block, which is what contiguous preallocation
+    // commits. Chunk size, and so the numerics, is the same either way.
+    const ChurnSpec churn = churnSpec(smoke);
+    arms.clear();
+    for (const KvArm &arm : {kFp32, kTender})
+        for (const bool paged : {true, false})
+            arms.push_back([&, arm, paged] {
+                SchedulerOptions o =
+                    schedulerOptions(kc, arm, churn.maxBatch, churn.rowChunk);
+                o.decode.cache.blockTokens =
+                    paged ? churn.rowChunk : churn.maxRequestTokens;
+                return runScheduler(model, o, churn.requests);
+            });
+    const auto churn_runs = bench::rounds(n_rounds, arms);
+    for (size_t a = 0; a < 2; ++a) {
+        const std::string path = a == 0 ? "churn_fp32" : "churn_tender";
+        double peak[2];
+        for (size_t side = 0; side < 2; ++side) {
+            const std::string arm_path =
+                path + (side == 0 ? ".paged" : ".contiguous");
+            const BlockPoolStats &pool =
+                recordArm(out, arm_path, churn_runs[2 * a + side]).pool;
+            peak[side] = double(pool.peakAllocatedBytes());
+            out.set(arm_path + ".peak_kv_bytes", pool.peakAllocatedBytes());
+            out.set(arm_path + ".peak_committed_bytes",
+                    pool.peakCommittedBytes());
+            out.set(arm_path + ".block_tokens", pool.blockTokens);
+            out.set(arm_path + ".created_blocks", pool.createdBlocks);
+            out.set(arm_path + ".allocations", pool.allocations);
+            out.set(arm_path + ".reuses", pool.reuses);
+        }
+        out.set(path + ".peak_kv_bytes_ratio", peak[1] / peak[0]);
+        out.gate(path + ".peak_kv_bytes_ratio", peak[1] / peak[0] > 1.0);
+        recordRatio(out, path + ".tokens_per_s_ratio", churn_runs[2 * a],
+                    churn_runs[2 * a + 1]);
+    }
 
-    // Shared-system-prompt mixed batch: prefix caching on vs off, both KV
-    // modes. Sharing must preserve the generated tokens bit for bit while
-    // skipping prefill work and shrinking peak KV memory.
-    const PrefixSpec pspec = prefixSpec(smoke);
-    const PrefixPoint prefix_fp32_shared =
-        runPrefix(model, kc, pspec, KVCacheMode::Fp32, true, reps);
-    const PrefixPoint prefix_fp32_cold =
-        runPrefix(model, kc, pspec, KVCacheMode::Fp32, false, reps);
-    const PrefixPoint prefix_tender_shared = runPrefix(
-        model, kc, pspec, KVCacheMode::TenderQuantized, true, reps);
-    const PrefixPoint prefix_tender_cold = runPrefix(
-        model, kc, pspec, KVCacheMode::TenderQuantized, false, reps);
-    const bool prefix_bitexact =
-        sameTokens(prefix_fp32_shared.results, prefix_fp32_cold.results) &&
-        sameTokens(prefix_tender_shared.results,
-                   prefix_tender_cold.results) &&
-        sharedPagesBitIdentical(config);
-    const bool refcounts_ok = prefix_fp32_shared.refcountsOk &&
-        prefix_fp32_cold.refcountsOk && prefix_tender_shared.refcountsOk &&
-        prefix_tender_cold.refcountsOk;
-    std::printf("shared prefix (%d-token system prompt, %zu requests): "
-                "fp32 %.1f tok/s peak %zu B (cold %.1f tok/s peak %zu B, "
-                "%.2fx), %lld prefill rows skipped, %lld hits, %lld COW "
-                "copies\n",
-                pspec.sysLen, pspec.requests.size(),
-                prefix_fp32_shared.tokensPerS,
-                prefix_fp32_shared.peakKvBytes,
-                prefix_fp32_cold.tokensPerS, prefix_fp32_cold.peakKvBytes,
-                double(prefix_fp32_cold.peakKvBytes) /
-                    double(prefix_fp32_shared.peakKvBytes),
-                (long long)prefix_fp32_shared.skippedRows,
-                (long long)prefix_fp32_shared.hits,
-                (long long)prefix_fp32_shared.cowCopies);
-    std::printf("shared prefix tender-KV: %.1f tok/s peak %zu B (cold "
-                "%.1f tok/s peak %zu B, %.2fx), %lld rows skipped, "
-                "%lld COW copies; reuse %s, refcounts %s\n",
-                prefix_tender_shared.tokensPerS,
-                prefix_tender_shared.peakKvBytes,
-                prefix_tender_cold.tokensPerS,
-                prefix_tender_cold.peakKvBytes,
-                double(prefix_tender_cold.peakKvBytes) /
-                    double(prefix_tender_shared.peakKvBytes),
-                (long long)prefix_tender_shared.skippedRows,
-                (long long)prefix_tender_shared.cowCopies,
-                prefix_bitexact ? "bit-exact" : "DIVERGED",
-                refcounts_ok ? "consistent" : "INCONSISTENT");
+    // ---- Shared system prompt: COW prefix caching on vs off. ----------
+    // The leader's prefill publishes the system prompt before the
+    // followers arrive, the serving pattern prefix caching exists for.
+    const PrefixSpec prefix = prefixSpec(smoke);
+    const SubmitHook lead_first = [](BatchScheduler &s, const GenRequest &r) {
+        s.submit(r);
+        if (r.id == 0)
+            s.step();
+    };
+    out.set("prefix_shared.system_prompt_tokens", prefix.sysLen);
+    out.set("prefix_shared.requests", prefix.requests.size());
+    arms.clear();
+    for (const KvArm &arm : {kFp32, kTender})
+        for (const bool sharing : {true, false})
+            arms.push_back([&, arm, sharing] {
+                SchedulerOptions o =
+                    schedulerOptions(kc, arm, prefix.maxBatch, 8);
+                o.decode.cache.blockTokens = 16;
+                o.prefixCache = sharing;
+                return runScheduler(model, o, prefix.requests, lead_first);
+            });
+    const auto prefix_runs = bench::rounds(n_rounds, arms);
+    bool prefix_bitexact = sharedPagesBitIdentical(config);
+    for (size_t a = 0; a < 2; ++a) {
+        const std::string path = a == 0 ? "prefix_shared.fp32"
+                                        : "prefix_shared.tender";
+        const std::vector<Run> &shared = prefix_runs[2 * a];
+        const std::vector<Run> &cold = prefix_runs[2 * a + 1];
+        prefix_bitexact =
+            prefix_bitexact && sameTokensEveryRound(shared, cold);
+        const Run &s = recordArm(out, path + ".shared", shared);
+        const Run &c = recordArm(out, path + ".cold", cold);
+        out.set(path + ".shared.peak_kv_bytes", s.pool.peakAllocatedBytes());
+        out.set(path + ".shared.prefill_rows_skipped",
+                s.stats.prefillSkippedRows);
+        out.set(path + ".shared.prefix_hits", s.stats.prefixHits);
+        out.set(path + ".shared.cow_copies", s.pool.cowCopies);
+        out.set(path + ".shared.shares", s.pool.shares);
+        out.set(path + ".cold.peak_kv_bytes", c.pool.peakAllocatedBytes());
+        out.set(path + ".peak_kv_bytes_ratio",
+                double(c.pool.peakAllocatedBytes()) /
+                    double(s.pool.peakAllocatedBytes()));
+        recordRatio(out, path + ".tokens_per_s_ratio", shared, cold);
+    }
+    out.flag("prefix_shared.prefix_reuse_bitexact", prefix_bitexact);
+    out.flag("prefix_shared.refcounts_consistent", allSettled(prefix_runs));
 
-    // Mixed serving traffic through the new front end: chat + long-doc +
-    // short completions, prefix cache on, bounded pool, priorities live.
+    // ---- Mixed serving traffic through the front end. -----------------
     KVCacheConfig traffic_cache;
     traffic_cache.blockTokens = 16;
-    const TrafficSpec tspec = trafficSpec(config, traffic_cache, smoke);
-    const TrafficPoint traffic =
-        runTrafficOnce(model, kc, tspec, false, tspec.maxBatch);
-    const bool order_independent =
-        trafficOrderIndependent(model, kc, tspec, traffic);
-    std::printf("mixed traffic (%zu requests: %d chat, %d long-doc, %d "
-                "short; maxBatch %d, pool %zu blocks): %.1f tok/s, "
-                "%lld prefix hits, %lld deferrals, %lld overtakes\n",
-                tspec.requests.size(), tspec.chat, tspec.longDoc,
-                tspec.shortCompl, tspec.maxBatch, tspec.poolBlocks,
-                traffic.tokensPerS, (long long)traffic.prefixHits,
-                (long long)traffic.deferred, (long long)traffic.overtakes);
-    std::printf("  interactive: TTFT p50 %.0f us p95 %.0f us, ITL p50 "
-                "%.0f us p95 %.0f us (%d requests)\n",
-                traffic.interactive.ttftP50Us, traffic.interactive.ttftP95Us,
-                traffic.interactive.itlP50Us, traffic.interactive.itlP95Us,
-                traffic.interactive.requests);
-    std::printf("  batch:       TTFT p50 %.0f us p95 %.0f us, ITL p50 "
-                "%.0f us p95 %.0f us (%d requests)\n",
-                traffic.batch.ttftP50Us, traffic.batch.ttftP95Us,
-                traffic.batch.itlP50Us, traffic.batch.itlP95Us,
-                traffic.batch.requests);
-    std::printf("  sampled tokens %s of admission order, batch size, and "
-                "worker count\n",
-                order_independent ? "independent" : "DEPEND ON");
+    const TrafficSpec traffic = trafficSpec(config, traffic_cache, smoke);
+    out.set("mixed_traffic.requests", traffic.requests.size());
+    out.set("mixed_traffic.chat", traffic.chat);
+    out.set("mixed_traffic.long_doc", traffic.longDoc);
+    out.set("mixed_traffic.short_completion", traffic.shortCompl);
+    out.set("mixed_traffic.max_batch", traffic.maxBatch);
+    out.set("mixed_traffic.kv_pool_blocks", traffic.poolBlocks);
+    const std::vector<Run> traffic_runs =
+        bench::rounds(n_rounds,
+                      std::vector<std::function<Run()>>{[&] {
+                          return runSession(
+                              model,
+                              trafficOptions(kc, traffic, traffic.maxBatch),
+                              submitAll(traffic.requests, false));
+                      }})
+            .front();
+    const Run &tmid = recordArm(out, "mixed_traffic", traffic_runs);
+    out.set("mixed_traffic.prefix_hits", tmid.stats.prefixHits);
+    out.set("mixed_traffic.deferred", tmid.stats.deferred);
+    out.set("mixed_traffic.overtakes", tmid.stats.overtakes);
+    recordLatency(out, "mixed_traffic.interactive", tmid.interactive);
+    recordLatency(out, "mixed_traffic.batch", tmid.batch);
+    // Untimed reruns: reversed admission, a smaller batch cap, and another
+    // worker count must sample every request's tokens identically.
+    const KernelContext alt(kc.backend(), std::max(1, kc.workers() / 2) + 1);
+    const Run reruns[] = {
+        runSession(model, trafficOptions(kc, traffic, traffic.maxBatch),
+                   submitAll(traffic.requests, true)),
+        runSession(model,
+                   trafficOptions(kc, traffic,
+                                  std::max(1, traffic.maxBatch - 1)),
+                   submitAll(traffic.requests, false)),
+        runSession(model, trafficOptions(alt, traffic, traffic.maxBatch + 2),
+                   submitAll(traffic.requests, true))};
+    bool order_independent = true;
+    for (const Run &timed : traffic_runs)
+        for (const Run &rerun : reruns)
+            order_independent = order_independent && sameTokens(timed, rerun);
+    out.flag("mixed_traffic.sampling_order_independent", order_independent);
 
-    // Preemption under pool pressure: the same workload with mid-decode
-    // preemption on vs off, both KV modes. The off arm runs every request
-    // uninterrupted, so token equality across arms is exactly the
-    // freeze/park/resume bit-exactness contract.
-    const PressureSpec ppspec = pressureSpec(config, traffic_cache, smoke);
-    const PressurePoint press_fp32_on =
-        runPressure(model, kc, ppspec, KVCacheMode::Fp32, 2);
-    const PressurePoint press_fp32_off =
-        runPressure(model, kc, ppspec, KVCacheMode::Fp32, 0);
-    const PressurePoint press_tender_on =
-        runPressure(model, kc, ppspec, KVCacheMode::TenderQuantized, 2);
-    const PressurePoint press_tender_off =
-        runPressure(model, kc, ppspec, KVCacheMode::TenderQuantized, 0);
-    const bool preempt_bitexact =
-        sameTokenVectors(press_fp32_on.tokens, press_fp32_off.tokens) &&
-        sameTokenVectors(press_tender_on.tokens, press_tender_off.tokens) &&
-        press_fp32_on.preemptions > 0 && press_tender_on.preemptions > 0 &&
-        press_fp32_off.preemptions == 0 && press_tender_off.preemptions == 0;
-    const bool preempt_accounting_ok = press_fp32_on.accountingOk &&
-        press_fp32_off.accountingOk && press_tender_on.accountingOk &&
-        press_tender_off.accountingOk;
-    std::printf("preemption pressure (%zu batch + %zu interactive, pool "
-                "%zu blocks): fp32 on %lld preemptions/%lld resumes, "
-                "interactive TTFT p95 %.0f us vs %.0f us off (%.2fx); "
-                "tokens %s, accounting %s\n",
-                ppspec.batchReqs.size(), ppspec.interactive.size(),
-                ppspec.poolBlocks, (long long)press_fp32_on.preemptions,
-                (long long)press_fp32_on.resumes,
-                press_fp32_on.interactive.ttftP95Us,
-                press_fp32_off.interactive.ttftP95Us,
-                press_fp32_off.interactive.ttftP95Us /
-                    press_fp32_on.interactive.ttftP95Us,
-                preempt_bitexact ? "bit-exact across arms" : "DIVERGED",
-                preempt_accounting_ok ? "settled" : "LEAKED");
-    std::printf("  tender-KV: on %lld preemptions/%lld resumes "
-                "(%lld rows readopted), interactive TTFT p95 %.0f us vs "
-                "%.0f us off (%.2fx)\n",
-                (long long)press_tender_on.preemptions,
-                (long long)press_tender_on.resumes,
-                (long long)press_tender_on.reusedRows,
-                press_tender_on.interactive.ttftP95Us,
-                press_tender_off.interactive.ttftP95Us,
-                press_tender_off.interactive.ttftP95Us /
-                    press_tender_on.interactive.ttftP95Us);
+    // ---- Preemption under pool pressure: on vs off. -------------------
+    // The off arm runs every request uninterrupted, so token equality
+    // across arms is the freeze/park/resume contract.
+    const PressureSpec pressure = pressureSpec(config, traffic_cache, smoke);
+    out.set("preemption_pressure.batch_requests", pressure.batchReqs.size());
+    out.set("preemption_pressure.interactive_requests",
+            pressure.interactive.size());
+    out.set("preemption_pressure.max_batch", pressure.maxBatch);
+    out.set("preemption_pressure.kv_pool_blocks", pressure.poolBlocks);
+    out.set("preemption_pressure.warm_steps", pressure.warmSteps);
+    out.set("preemption_pressure.max_preemptions", 2);
+    const Driver pressure_driver = [&](ServeSession &s) {
+        std::vector<int> ids;
+        for (const ServeRequest &r : pressure.batchReqs)
+            ids.push_back(s.submit(r));
+        for (int i = 0; i < pressure.warmSteps; ++i)
+            s.step();
+        for (const ServeRequest &r : pressure.interactive)
+            ids.push_back(s.submit(r));
+        return ids;
+    };
+    arms.clear();
+    for (const KvArm &arm : {kFp32, kTender})
+        for (const int max_preemptions : {2, 0})
+            arms.push_back([&, arm, max_preemptions] {
+                ServeSessionOptions o;
+                o.scheduler = schedulerOptions(kc, arm, pressure.maxBatch);
+                o.scheduler.decode.cache.blockTokens = 16;
+                o.scheduler.kvPoolBlocks = pressure.poolBlocks;
+                o.scheduler.prefixCache = true;
+                o.scheduler.maxPreemptions = max_preemptions;
+                return runSession(model, o, pressure_driver);
+            });
+    const auto pressure_runs = bench::rounds(n_rounds, arms);
+    bool preempt_bitexact = true;
+    for (size_t a = 0; a < 2; ++a) {
+        const std::string path = a == 0 ? "preemption_pressure.fp32"
+                                        : "preemption_pressure.tender";
+        const std::vector<Run> &on = pressure_runs[2 * a];
+        const std::vector<Run> &off = pressure_runs[2 * a + 1];
+        bool preempted = true;
+        for (size_t r = 0; r < on.size(); ++r) {
+            preempted = preempted && on[r].stats.preemptions > 0;
+            preempt_bitexact =
+                preempt_bitexact && off[r].stats.preemptions == 0;
+        }
+        preempt_bitexact =
+            preempt_bitexact && preempted && sameTokensEveryRound(on, off);
+        out.gate(path + ".on.preemptions", preempted);
+        for (const bool is_on : {true, false}) {
+            const std::string side = path + (is_on ? ".on" : ".off");
+            const Run &mid = recordArm(out, side, is_on ? on : off);
+            out.set(side + ".preemptions", mid.stats.preemptions);
+            out.set(side + ".resumes", mid.stats.resumes);
+            out.set(side + ".resumed_rows_reused",
+                    mid.stats.resumedRowsReused);
+            out.set(side + ".deferred", mid.stats.deferred);
+            recordLatency(out, side + ".interactive", mid.interactive);
+            recordLatency(out, side + ".batch", mid.batch);
+        }
+        recordRatio(out, path + ".tokens_per_s_ratio", on, off);
+    }
+    // Every preemption's park is undone by its resume.
+    bool parks_undone = allSettled(pressure_runs);
+    for (const std::vector<Run> &arm : pressure_runs)
+        for (const Run &r : arm)
+            parks_undone = parks_undone && r.pool.parks == r.pool.unparks;
+    out.flag("preemption_pressure.preempt_resume_bitexact", preempt_bitexact);
+    out.flag("preemption_pressure.refcounts_consistent", parks_undone);
 
-    // Fault churn: the mixed-traffic workload under a seeded fault plan
-    // plus front-door shedding, in all three decode arms. The fault-free
-    // reference run of each arm doubles as the survivors' bit-exactness
-    // baseline.
-    const std::string fault_plan = FaultInjector::randomPlan(
+    // ---- Fault churn: the mixed traffic under a seeded fault plan. ----
+    // Injected KV-allocation failures, throwing streaming callbacks and
+    // step stalls, plus a queue bound that sheds the last two submissions
+    // and two requests whose 1 us deadline expires before admission. The
+    // prefix cache is on in the fp32 arm only.
+    const std::string plan = FaultInjector::randomPlan(
         2024,
         {FaultSite::AllocFail, FaultSite::CallbackThrow,
          FaultSite::StepLatency},
         /*triggers=*/8, /*maxNth=*/60, /*latencyUs=*/300);
-    const FaultArm fault_arms[] = {
-        {"fp32", KVCacheMode::Fp32, false, true},
-        {"tender", KVCacheMode::TenderQuantized, false, false},
-        {"tender_fused", KVCacheMode::TenderQuantized, true, false},
+    out.set("fault_churn.requests", traffic.requests.size());
+    out.set("fault_churn.doomed_requests", 2);
+    out.set("fault_churn.max_batch", traffic.maxBatch);
+    out.set("fault_churn.plan", plan);
+    const auto fault_session = [&](const KvArm &arm, bool shed) {
+        ServeSessionOptions o = trafficOptions(kc, traffic, traffic.maxBatch);
+        o.scheduler.decode.cache.mode = arm.mode;
+        o.scheduler.decode.cache.tender.rowChunk = 16;
+        o.scheduler.decode.fusedQuantKv = arm.fused;
+        o.scheduler.prefixCache = arm.mode == KVCacheMode::Fp32;
+        // The two doomed requests occupy two queue slots before the
+        // workload arrives and nothing is admitted before the first step,
+        // so this bound sheds exactly the last two submissions.
+        if (shed)
+            o.scheduler.maxQueueDepth = int(traffic.requests.size());
+        return runSession(model, o, [&, shed](ServeSession &s) {
+            std::vector<int> doomed;
+            for (int i = 0; shed && i < 2; ++i) {
+                ServeRequest r = traffic.requests[size_t(i)];
+                r.deadlineUs = 1;
+                doomed.push_back(s.submit(r));
+            }
+            std::vector<int> ids;
+            for (ServeRequest r : traffic.requests) {
+                r.onEvent = [](const StreamEvent &) {}; // a callback site
+                ids.push_back(s.submit(r));
+            }
+            ids.insert(ids.end(), doomed.begin(), doomed.end());
+            return ids;
+        });
     };
-    FaultChurnPoint fault_points[3];
-    bool fault_bitexact = true, fault_accounting_ok = true;
-    for (int i = 0; i < 3; ++i) {
-        fault_points[i] =
-            runFaultChurn(model, kc, tspec, fault_arms[i], fault_plan);
-        fault_bitexact =
-            fault_bitexact && fault_points[i].survivorsBitexact;
-        fault_accounting_ok =
-            fault_accounting_ok && fault_points[i].accountingOk;
+    const KvArm fault_arms[] = {kFp32, kTender, kFused};
+    std::vector<Run> references; // fault-free, untimed
+    FaultInjector::instance().disarm();
+    for (const KvArm &arm : fault_arms)
+        references.push_back(fault_session(arm, false));
+    arms.clear();
+    for (const KvArm &arm : fault_arms)
+        arms.push_back([&, arm] {
+            FaultInjector &injector = FaultInjector::instance();
+            injector.arm(plan);
+            Run run = fault_session(arm, true);
+            run.faults = {injector.fired(FaultSite::AllocFail),
+                          injector.fired(FaultSite::CallbackThrow)};
+            injector.disarm();
+            return run;
+        });
+    const auto fault_runs = bench::rounds(n_rounds, arms);
+    bool isolated = true;
+    bool fault_settled = allSettled(fault_runs);
+    for (size_t a = 0; a < 3; ++a) {
+        const Run &ref = references[a];
+        fault_settled = fault_settled && ref.settled;
+        isolated = isolated && ref.finished == ref.served.size();
+        // A request the plan did not fail generates exactly the
+        // fault-free run's tokens.
+        for (const Run &chaos : fault_runs[a])
+            for (size_t i = 0; i < ref.served.size(); ++i)
+                isolated = isolated &&
+                    (chaos.served[i].state != RequestState::Finished ||
+                     chaos.served[i].tokens == ref.served[i].tokens);
+        const std::string path =
+            std::string("fault_churn.") + fault_arms[a].name;
+        const Run &mid = recordArm(out, path, fault_runs[a]);
+        int queue_full = 0, deadline = 0;
+        for (const ServeResult &r : mid.served) {
+            queue_full += r.failure == FailureReason::QueueOverflow;
+            deadline += r.failure == FailureReason::DeadlineExceeded;
+        }
+        out.set(path + ".finished", mid.finished);
+        out.set(path + ".failed", mid.served.size() - mid.finished);
+        out.set(path + ".shed_queue_full", queue_full);
+        out.set(path + ".shed_deadline", deadline);
+        out.set(path + ".alloc_faults", mid.faults.first);
+        out.set(path + ".callback_faults", mid.faults.second);
     }
-    std::printf("fault churn (plan \"%s\", %zu requests + 2 doomed): ",
-                fault_plan.c_str(), tspec.requests.size());
-    for (int i = 0; i < 3; ++i)
-        std::printf("%s %d ok / %d failed%s", fault_arms[i].name,
-                    fault_points[i].finished, fault_points[i].failed,
-                    i < 2 ? ", " : "; ");
-    std::printf("survivors %s, accounting %s\n",
-                fault_bitexact ? "bit-exact" : "DIVERGED",
-                fault_accounting_ok ? "settled" : "LEAKED");
+    out.flag("fault_churn.fault_isolation_bitexact", isolated);
+    out.flag("fault_churn.refcounts_consistent", fault_settled);
 
-    // Speculative decoding on a repetitive-suffix workload: both drafters
-    // at k in {2, 4, 8} against the plain baseline, per KV arm. The gate
-    // is bit-identity (speculation may never change tokens); the headline
-    // number is the best end-to-end speedup, which must clear 1x with
-    // prompt lookup somewhere on this workload.
+    // ---- Speculative decoding: prompt lookup vs plain decode. ---------
     const int spec_batch = 4;
     const int spec_prompt = smoke ? 12 : 24;
     const int spec_new = smoke ? 16 : 48;
-    const int spec_ks[3] = {2, 4, 8};
-    const char *spec_names[3] = {"fp32", "tender", "tender_fused"};
-    const KVCacheMode spec_modes[3] = {KVCacheMode::Fp32,
-                                       KVCacheMode::TenderQuantized,
-                                       KVCacheMode::TenderQuantized};
-    const bool spec_fused[3] = {false, false, true};
-    double spec_plain_tps[3] = {0, 0, 0};
-    SpecPoint spec_pl[3][3], spec_dm[3][3];
+    const int spec_ks[] = {2, 4, 8};
+    out.set("spec_decode.batch", spec_batch);
+    out.set("spec_decode.prompt_tokens", spec_prompt);
+    out.set("spec_decode.new_tokens", spec_new);
+    arms.clear();
+    for (const KvArm &arm : kv_arms)
+        for (const int k : {0, 2, 4, 8})
+            arms.push_back([&, arm, k] {
+                return runScheduler(
+                    model, schedulerOptions(kc, arm, spec_batch),
+                    specWorkload(spec_batch, spec_prompt, spec_new,
+                                 k ? DrafterKind::PromptLookup
+                                   : DrafterKind::None,
+                                 k ? k : 4));
+            });
+    const auto spec_runs = bench::rounds(n_rounds, arms);
     bool spec_bitexact = true;
-    double spec_best_speedup = 0.0;
-    int spec_best_k = 0;
-    const char *spec_best_arm = "";
     for (int a = 0; a < 3; ++a) {
-        std::vector<GenResult> plain_tokens;
-        const SpecPoint plain = runSpec(
-            model, kc, spec_modes[a], spec_fused[a], DrafterKind::None, 4,
-            spec_batch, spec_prompt, spec_new, reps, nullptr,
-            &plain_tokens);
-        spec_plain_tps[a] = plain.tokensPerS;
+        const std::string path = std::string("spec_decode.") + kv_arms[a].name;
+        const std::vector<Run> &plain = spec_runs[size_t(4 * a)];
+        recordArm(out, path + ".plain", plain);
         for (int ki = 0; ki < 3; ++ki) {
-            spec_pl[a][ki] = runSpec(model, kc, spec_modes[a],
-                                     spec_fused[a],
-                                     DrafterKind::PromptLookup,
-                                     spec_ks[ki], spec_batch, spec_prompt,
-                                     spec_new, reps, &plain_tokens);
-            spec_dm[a][ki] = runSpec(model, kc, spec_modes[a],
-                                     spec_fused[a], DrafterKind::Model,
-                                     spec_ks[ki], spec_batch, spec_prompt,
-                                     spec_new, reps, &plain_tokens);
-            spec_bitexact = spec_bitexact && spec_pl[a][ki].bitexact &&
-                            spec_dm[a][ki].bitexact;
-            const double speedup =
-                spec_pl[a][ki].tokensPerS / plain.tokensPerS;
-            if (speedup > spec_best_speedup) {
-                spec_best_speedup = speedup;
-                spec_best_k = spec_ks[ki];
-                spec_best_arm = spec_names[a];
-            }
+            const std::vector<Run> &lookup = spec_runs[size_t(4 * a + 1 + ki)];
+            spec_bitexact =
+                spec_bitexact && sameTokensEveryRound(lookup, plain);
+            const std::string kpath =
+                path + ".prompt_lookup.k_" + std::to_string(spec_ks[ki]);
+            const Run &mid = recordArm(out, kpath, lookup);
+            const int64_t drafted = mid.stats.draftedTokens;
+            const int64_t accepted = mid.stats.acceptedDraftTokens;
+            out.set(kpath + ".acceptance",
+                    drafted > 0 ? double(accepted) / double(drafted) : 0.0);
+            out.set(kpath + ".drafted", drafted);
+            out.set(kpath + ".accepted", accepted);
+            recordRatio(out, kpath + ".speedup", lookup, plain);
         }
     }
-    std::printf("spec decode (batch %d, prompt %d, %d tokens): best "
-                "prompt-lookup speedup %.2fx (%s, k=%d); tokens %s\n",
-                spec_batch, spec_prompt, spec_new, spec_best_speedup,
-                spec_best_arm, spec_best_k,
-                spec_bitexact ? "bit-exact vs plain" : "DIVERGED");
-    for (int a = 0; a < 3; ++a)
-        std::printf("  %-12s plain %7.1f tok/s | lookup k=4 %7.1f tok/s "
-                    "(accept %.2f) | draft-model k=4 %7.1f tok/s "
-                    "(accept %.2f)\n",
-                    spec_names[a], spec_plain_tps[a],
-                    spec_pl[a][1].tokensPerS, spec_pl[a][1].acceptance,
-                    spec_dm[a][1].tokensPerS, spec_dm[a][1].acceptance);
+    out.flag("spec_decode.spec_decode_bitexact", spec_bitexact);
 
-    const Correctness correct = checkCorrectness(model, gqa_model, kc);
-    std::printf("correctness: fp32 decode %s full prefill, tender-KV "
-                "nmse %.3g (bound %.3g), fused-attention nmse %.3g "
-                "(bound %.3g), mq panels %s\n",
-                correct.fp32BitExact ? "bit-identical to" : "DIVERGES from",
-                correct.tenderNmse, correct.tenderNmseBound,
-                correct.fusedNmse, correct.fusedNmseBound,
-                correct.mqPanelBitExact ? "bit-exact" : "DIVERGED");
-
-    FILE *f = std::fopen(out_path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", out_path);
-        return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f,
-                 "  \"model\": {\"name\": \"%s\", \"d_model\": %d, "
-                 "\"n_heads\": %d, \"n_layers\": %d, \"d_ffn\": %d},\n",
-                 config.name.c_str(), config.dModel, config.nHeads,
-                 config.nLayers, config.dFfn);
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"prompt_tokens\": %d,\n", prompt_len);
-    std::fprintf(f, "  \"new_tokens_per_request\": %d,\n", new_tokens);
-    std::fprintf(f, "  \"workers\": %d,\n", workers);
-    std::fprintf(f, "  \"backend\": \"%s\",\n",
-                 backendName(kc.backend()).c_str());
-    std::fprintf(f, "  \"simd\": \"%s\",\n", simdDescription().c_str());
-    // TENDER_BACKEND / TENDER_NUM_THREADS as this process resolved them,
-    // so every recorded number is attributable to the environment arm.
-    std::fprintf(f, "  \"default_backend\": \"%s\",\n",
-                 backendName(defaultKernels().backend()).c_str());
-    std::fprintf(f, "  \"default_workers\": %d,\n",
-                 defaultKernels().workers());
-    std::fprintf(f, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    emitMode(f, "fp32_kv", fp32, true);
-    emitMode(f, "tender_kv", quant, true);
-    emitMode(f, "tender_kv_fused", fusedq, true);
-    std::fprintf(f, "  \"fused_over_dequant_tokens_ratio\": %.3f,\n",
-                 fused_ratio);
-    std::fprintf(f, "  \"mq_panels\": {\n");
-    std::fprintf(f,
-                 "    \"model\": \"%s\", \"q_heads_per_kv_head\": %d, "
-                 "\"batch\": %d,\n",
-                 gqa_config.name.c_str(),
-                 gqa_config.nHeads / gqa_config.kvHeads, mq_batch);
-    std::fprintf(f,
-                 "    \"fp32_kv\": {\"on_tokens_per_s\": %.2f, "
-                 "\"off_tokens_per_s\": %.2f, \"ratio\": %.3f},\n",
-                 mq_fp32_on.tokensPerS, mq_fp32_off.tokensPerS,
-                 mq_fp32_on.tokensPerS / mq_fp32_off.tokensPerS);
-    std::fprintf(f,
-                 "    \"tender_kv_fused\": {\"on_tokens_per_s\": %.2f, "
-                 "\"off_tokens_per_s\": %.2f, \"ratio\": %.3f}\n",
-                 mq_fused_on.tokensPerS, mq_fused_off.tokensPerS,
-                 mq_fused_on.tokensPerS / mq_fused_off.tokensPerS);
-    std::fprintf(f, "  },\n");
-    emitChurn(f, "churn_fp32", churn_fp32_paged, churn_fp32_contig, true);
-    emitChurn(f, "churn_tender", churn_tender_paged, churn_tender_contig,
-              true);
-    std::fprintf(f, "  \"prefix_shared\": {\n");
-    std::fprintf(f, "    \"system_prompt_tokens\": %d,\n", pspec.sysLen);
-    std::fprintf(f, "    \"requests\": %zu,\n", pspec.requests.size());
-    emitPrefixMode(f, "fp32", prefix_fp32_shared, prefix_fp32_cold);
-    emitPrefixMode(f, "tender", prefix_tender_shared, prefix_tender_cold);
-    // Per-scenario-run value (both modes run the same workload and skip
-    // the same rows); the per-mode copies live under fp32/tender.shared.
-    std::fprintf(f, "    \"prefill_tokens_skipped\": %lld,\n",
-                 (long long)prefix_fp32_shared.skippedRows);
-    std::fprintf(f, "    \"prefix_reuse_bitexact\": %s,\n",
-                 prefix_bitexact ? "true" : "false");
-    std::fprintf(f, "    \"refcounts_consistent\": %s\n",
-                 refcounts_ok ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"mixed_traffic\": {\n");
-    std::fprintf(f,
-                 "    \"requests\": %zu, \"chat\": %d, \"long_doc\": %d, "
-                 "\"short_completion\": %d,\n",
-                 tspec.requests.size(), tspec.chat, tspec.longDoc,
-                 tspec.shortCompl);
-    std::fprintf(f,
-                 "    \"max_batch\": %d, \"kv_pool_blocks\": %zu,\n",
-                 tspec.maxBatch, tspec.poolBlocks);
-    std::fprintf(f, "    \"tokens_per_s\": %.2f,\n", traffic.tokensPerS);
-    std::fprintf(f,
-                 "    \"prefix_hits\": %lld, \"deferred\": %lld, "
-                 "\"overtakes\": %lld,\n",
-                 (long long)traffic.prefixHits, (long long)traffic.deferred,
-                 (long long)traffic.overtakes);
-    emitTrafficClass(f, "interactive", traffic.interactive);
-    emitTrafficClass(f, "batch", traffic.batch);
-    std::fprintf(f, "    \"sampling_order_independent\": %s\n",
-                 order_independent ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"preemption_pressure\": {\n");
-    std::fprintf(f,
-                 "    \"batch_requests\": %zu, "
-                 "\"interactive_requests\": %zu, \"max_batch\": %d, "
-                 "\"kv_pool_blocks\": %zu, \"warm_steps\": %d, "
-                 "\"max_preemptions\": 2,\n",
-                 ppspec.batchReqs.size(), ppspec.interactive.size(),
-                 ppspec.maxBatch, ppspec.poolBlocks, ppspec.warmSteps);
-    emitPressureMode(f, "fp32", press_fp32_on, press_fp32_off, true);
-    emitPressureMode(f, "tender", press_tender_on, press_tender_off, true);
-    std::fprintf(f, "    \"preempt_resume_bitexact\": %s,\n",
-                 preempt_bitexact ? "true" : "false");
-    std::fprintf(f, "    \"refcounts_consistent\": %s\n",
-                 preempt_accounting_ok ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"fault_churn\": {\n");
-    std::fprintf(f,
-                 "    \"requests\": %zu, \"doomed_requests\": 2, "
-                 "\"max_batch\": %d, \"plan\": \"%s\",\n",
-                 tspec.requests.size(), tspec.maxBatch, fault_plan.c_str());
-    for (int i = 0; i < 3; ++i)
-        emitFaultArm(f, fault_arms[i].name, fault_points[i]);
-    std::fprintf(f, "    \"fault_isolation_bitexact\": %s,\n",
-                 fault_bitexact ? "true" : "false");
-    std::fprintf(f, "    \"refcounts_consistent\": %s\n",
-                 fault_accounting_ok ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"spec_decode\": {\n");
-    std::fprintf(f,
-                 "    \"batch\": %d, \"prompt_tokens\": %d, "
-                 "\"new_tokens\": %d,\n",
-                 spec_batch, spec_prompt, spec_new);
-    for (int a = 0; a < 3; ++a) {
-        std::fprintf(f, "    \"%s\": {\n", spec_names[a]);
-        std::fprintf(f, "      \"plain_tokens_per_s\": %.2f,\n",
-                     spec_plain_tps[a]);
-        const char *drafters[2] = {"prompt_lookup", "draft_model"};
-        for (int d = 0; d < 2; ++d) {
-            const SpecPoint *row = d == 0 ? spec_pl[a] : spec_dm[a];
-            std::fprintf(f, "      \"%s\": {\n", drafters[d]);
-            for (int ki = 0; ki < 3; ++ki)
-                std::fprintf(f,
-                             "        \"k_%d\": {\"tokens_per_s\": %.2f, "
-                             "\"acceptance\": %.4f, \"drafted\": %lld, "
-                             "\"accepted\": %lld, \"steps\": %lld, "
-                             "\"speedup\": %.3f}%s\n",
-                             spec_ks[ki], row[ki].tokensPerS,
-                             row[ki].acceptance, (long long)row[ki].drafted,
-                             (long long)row[ki].accepted,
-                             (long long)row[ki].steps,
-                             row[ki].tokensPerS / spec_plain_tps[a],
-                             ki < 2 ? "," : "");
-            std::fprintf(f, "      }%s\n", d == 0 ? "," : "");
-        }
-        std::fprintf(f, "    },\n");
-    }
-    std::fprintf(f,
-                 "    \"best_prompt_lookup_speedup\": %.3f, "
-                 "\"best_arm\": \"%s\", \"best_k\": %d,\n",
-                 spec_best_speedup, spec_best_arm, spec_best_k);
-    std::fprintf(f, "    \"spec_decode_bitexact\": %s\n",
-                 spec_bitexact ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f,
-                 "  \"calibration\": {\"workload\": \"%s\", "
-                 "\"score_mflops\": %.1f},\n",
-                 bench::kCalibrationWorkload, calibration);
-    std::fprintf(f,
-                 "  \"correctness\": {\"fp32_decode_bit_exact\": %s, "
-                 "\"tender_kv_nmse\": %.6g, "
-                 "\"tender_kv_nmse_bound\": %.3g, "
-                 "\"fused_attention_nmse\": %.6g, "
-                 "\"fused_attention_nmse_bound\": %.3g, "
-                 "\"mq_panel_bitexact\": %s},\n",
-                 correct.fp32BitExact ? "true" : "false",
-                 correct.tenderNmse, correct.tenderNmseBound,
-                 correct.fusedNmse, correct.fusedNmseBound,
-                 correct.mqPanelBitExact ? "true" : "false");
-    std::fprintf(f, "  \"fp32_batched_speedup\": {");
-    for (size_t i = 1; i < fp32.size(); ++i)
-        std::fprintf(f, "\"batch_%d\": %.3f%s", fp32[i].batch,
-                     fp32[i].tokensPerS / fp32[0].tokensPerS,
-                     i + 1 < fp32.size() ? ", " : "");
-    std::fprintf(f, "}\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path);
-    return correct.fp32BitExact &&
-                   correct.tenderNmse < correct.tenderNmseBound &&
-                   correct.fusedNmse < correct.fusedNmseBound &&
-                   correct.mqPanelBitExact && prefix_bitexact &&
-                   refcounts_ok && order_independent && preempt_bitexact &&
-                   preempt_accounting_ok && fault_bitexact &&
-                   fault_accounting_ok && spec_bitexact
-               ? 0
-               : 1;
+    recordCorrectness(out, model, gqa_model, kc);
+    return out.finish(out_path);
 }

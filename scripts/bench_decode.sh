@@ -1,19 +1,12 @@
 #!/usr/bin/env bash
-# Decode-runtime bench runner: builds bench_bench_decode_json and records
-# continuous-batching tokens/s (batch 1/4/16, fp32 vs Tender-quantized KV
-# cache) plus the churned paged-vs-contiguous KV comparison and the
-# mixed-traffic serving scenario (chat + long-doc + short completions
-# through the serving front end: TTFT/ITL percentiles per priority class,
-# gated sampling_order_independent) and the preemption_pressure scenario
-# (mid-decode freeze/park/resume on vs off under a bounded pool: gated
-# preempt_resume_bitexact + park accounting, recorded interactive TTFT
-# p95 per arm) into BENCH_decode.json at the repo root (serving-path
-# perf trajectory, PR over PR).
+# Decode-runtime bench runner: builds bench_bench_decode_json and writes
+# BENCH_decode.json at the repo root. The binary's file comment lists its
+# sections; scripts/check_bench.py gates the result.
 #
 # Usage: scripts/bench_decode.sh [--smoke] [prompt new_tokens workers [out.json]]
-# Defaults: 16 32 8 BENCH_decode.json; --smoke runs the reduced CI sizes
-# and still records the gated correctness fields (scripts/check_bench.py).
-# TENDER_CMAKE_ARGS adds configure flags (CI passes the ccache launcher).
+# Defaults: 16 32 <hardware threads> BENCH_decode.json; --smoke runs the
+# reduced CI sizes. TENDER_CMAKE_ARGS adds configure flags (CI passes the
+# ccache launcher).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
-# Kernel-layer bench runner: builds bench_bench_gemm_json and records
-# serial vs threaded GFLOP/s and tenderMatmul chunk throughput into
-# BENCH_gemm.json at the repo root (perf trajectory, PR over PR).
+# Kernel-layer bench runner: builds bench_bench_gemm_json and writes
+# BENCH_gemm.json at the repo root. The binary's file comment lists its
+# sections; scripts/check_bench.py gates the result.
 #
 # Usage: scripts/bench_gemm.sh [--smoke] [m k n workers [out.json]]
-# Defaults to the ISSUE-1 workload: 512 4096 4096 8 BENCH_gemm.json;
-# --smoke runs the reduced CI sizes and still records the gated
-# correctness fields (scripts/check_bench.py).
-# TENDER_CMAKE_ARGS adds configure flags (CI passes the ccache launcher).
+# Defaults: 512 4096 4096 8 BENCH_gemm.json; --smoke runs the reduced CI
+# sizes. TENDER_CMAKE_ARGS adds configure flags (CI passes the ccache
+# launcher).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

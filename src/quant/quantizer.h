@@ -31,16 +31,18 @@ maxCode(int bits)
 /** Scale factor mapping absmax onto the largest code. */
 float scaleFor(float abs_max, int bits);
 
-/** Quantize one value: round-to-nearest-even then clamp to [-k, k].
- *  Inline, so the per-element loops of the chunk and weight quantizers
+/** Quantize one value: clamp x / scale to [-k, k], then round to
+ *  nearest even. The clamp runs in float, before the conversion, so every
+ *  float converts in range: +-inf go to +-k and NaN to -k (std::max
+ *  returns its first argument when the comparison is unordered). Inline,
+ *  so the per-element loops of the chunk and weight quantizers
  *  vectorize. */
 inline int32_t
 quantizeValue(float x, float scale, int bits)
 {
-    const int32_t k = maxCode(bits);
-    const float t = x / scale;
-    auto q = int32_t(std::nearbyintf(t));
-    return std::clamp(q, -k, k);
+    const float k = float(maxCode(bits));
+    const float t = std::min(std::max(-k, x / scale), k);
+    return int32_t(std::nearbyintf(t));
 }
 
 /** Dequantize one code. */

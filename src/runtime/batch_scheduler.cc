@@ -293,10 +293,8 @@ BatchScheduler::tryAdmit(size_t index)
     }
     // A fresh drafter at every (re-)admission: drafts are a pure function
     // of the token sequence, so a resumed request's drafter re-proposes
-    // exactly what the uninterrupted run's would have (the ModelDrafter
-    // just re-feeds the whole sequence once instead of incrementally).
-    std::unique_ptr<Drafter> drafter = makeDrafter(
-        p.request.speculation, options_.vocabSize, options_.vocabSeed);
+    // exactly what the uninterrupted run's would have.
+    std::unique_ptr<Drafter> drafter = makeDrafter(p.request.speculation);
     Active a{std::move(p.request), std::move(cache),
              vocab_.embedAll(first_segment), true, std::move(p.generated),
              p.steps, p.preemptions, resume, std::move(drafter), {},
@@ -479,12 +477,8 @@ BatchScheduler::step()
             stats_.prefillRows += t;
     }
 
-    DecodeStepConfig step;
-    step.projections = options_.decode.scheme ? &projections_ : nullptr;
-    step.fusedQuantKv = options_.decode.fusedQuantKv;
-    step.mqAttentionPanels = options_.decode.mqAttentionPanels;
-    step.phases = options_.decode.phases;
-    const Matrix hidden = decodeStep(model_, x, segments, step, kernels());
+    const Matrix hidden = decodeStep(model_, x, segments, options_.decode,
+                                     projections_, kernels());
     ++stats_.steps;
     stats_.batchedRows += rows;
 

@@ -321,16 +321,17 @@ Matrix
 decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
                    const ModelConfig &config,
                    const std::vector<DecodeSegment> &segments,
-                   const DecodeStepConfig &step, const KernelContext &kc)
+                   const DecodeOptions &options,
+                   const std::vector<PreparedProjections> &projections,
+                   const KernelContext &kc)
 {
     checkSegments(x, segments);
     const int dh = config.headDim();
     const PreparedProjections fp32;
-    TENDER_CHECK(!step.projections ||
-                 size_t(layer) < step.projections->size());
+    TENDER_CHECK(projections.empty() || size_t(layer) < projections.size());
     const PreparedProjections &prepared =
-        step.projections ? (*step.projections)[size_t(layer)] : fp32;
-    PhaseTimer timer(step.phases);
+        projections.empty() ? fp32 : projections[size_t(layer)];
+    PhaseTimer timer(options.phases);
     // Every projection is one product over the stacked rows. Fp32
     // projections are row-local, so one GEMM computes every request's
     // result exactly. A quantizing scheme is NOT row-local — its row-chunk
@@ -432,7 +433,7 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
             const int kvh = int(t % int64_t(kv_heads));
             if (seg.cache->failed())
                 continue;
-            const bool fused = step.fusedQuantKv &&
+            const bool fused = options.fusedQuantKv &&
                 seg.cache->config().mode == KVCacheMode::TenderQuantized;
             for (size_t b = first_band[si]; b < first_band[si + 1]; ++b) {
                 const int last = bands[b].pos0 + bands[b].rows - 1;
@@ -459,7 +460,7 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
     // output; either way tasks write disjoint output tiles, so the
     // parallel fan-out is bit-reproducible with any worker count.
     Matrix attn(x.rows(), config.dModel);
-    if (step.mqAttentionPanels) {
+    if (options.mqAttentionPanels) {
         const int group = config.nHeads / kv_heads;
         kc.parallelFor(0, int64_t(bands.size()) * int64_t(kv_heads), 1,
                        [&](int64_t t0, int64_t t1) {
@@ -550,7 +551,9 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
 Matrix
 decodeStep(SyntheticModel &model, const Matrix &x,
            const std::vector<DecodeSegment> &segments,
-           const DecodeStepConfig &step, const KernelContext &kc)
+           const DecodeOptions &options,
+           const std::vector<PreparedProjections> &projections,
+           const KernelContext &kc)
 {
     const ModelConfig &cfg = model.config();
     TENDER_REQUIRE(cfg.decoder,
@@ -560,9 +563,9 @@ decodeStep(SyntheticModel &model, const Matrix &x,
     Matrix h = x;
     for (int l = 0; l < cfg.nLayers; ++l)
         h = decodeBlockForward(h, l, model.blockWeights(l), cfg, segments,
-                               step, kc);
-    if (step.phases)
-        ++step.phases->steps;
+                               options, projections, kc);
+    if (options.phases)
+        ++options.phases->steps;
     return h;
 }
 
@@ -613,12 +616,8 @@ DecodeEngine::step(const Matrix &x_new)
         options_.kernels ? *options_.kernels : defaultKernels();
     std::vector<DecodeSegment> segments{
         {&cache_, 0, x_new.rows(), cache_.length()}};
-    DecodeStepConfig step;
-    step.projections = options_.scheme ? &projections_ : nullptr;
-    step.fusedQuantKv = options_.fusedQuantKv;
-    step.mqAttentionPanels = options_.mqAttentionPanels;
-    step.phases = options_.phases;
-    Matrix h = decodeStep(model_, x_new, segments, step, kc);
+    Matrix h = decodeStep(model_, x_new, segments, options_, projections_,
+                          kc);
     // The single-request engine has no scheduler watching its cache, so
     // a latched append fault surfaces here, after the step completed on
     // every worker (the exception never crosses the pool boundary).

@@ -137,34 +137,27 @@ struct PreparedProjections
 std::vector<PreparedProjections> prepareProjections(SyntheticModel &model,
                                                     const GemmScheme *scheme);
 
-/** The per-step slice of DecodeOptions consumed by decodeStep /
- *  decodeBlockForward (everything but the cache/pool, which the segments
- *  carry). */
-struct DecodeStepConfig
-{
-    /** Per-layer prepared weights (prepareProjections); null runs the
-     *  projections on the fp32 kernels. */
-    const std::vector<PreparedProjections> *projections = nullptr;
-    bool fusedQuantKv = false;
-    bool mqAttentionPanels = true;
-    DecodePhaseTimes *phases = nullptr;
-};
-
 /**
  * One transformer block over a stacked step input. Segments must tile
  * x's rows exactly; each segment's cache gets its layer-`layer` K/V rows
- * appended before attention reads them back.
+ * appended before attention reads them back. `projections` is the
+ * prepareProjections table of options.scheme, empty for fp32 projections;
+ * the cache and pool of `options` are unused (the segments carry their
+ * caches).
  */
 Matrix decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
                           const ModelConfig &config,
                           const std::vector<DecodeSegment> &segments,
-                          const DecodeStepConfig &step,
+                          const DecodeOptions &options,
+                          const std::vector<PreparedProjections> &projections,
                           const KernelContext &kc);
 
 /** All blocks of the model over one stacked step input. */
 Matrix decodeStep(SyntheticModel &model, const Matrix &x,
                   const std::vector<DecodeSegment> &segments,
-                  const DecodeStepConfig &step, const KernelContext &kc);
+                  const DecodeOptions &options,
+                  const std::vector<PreparedProjections> &projections,
+                  const KernelContext &kc);
 
 /**
  * Fused quantized-KV attention for a multi-query panel: the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace tender {
 
 const char *
@@ -10,7 +12,6 @@ drafterKindName(DrafterKind kind)
     switch (kind) {
     case DrafterKind::None: return "none";
     case DrafterKind::PromptLookup: return "prompt-lookup";
-    case DrafterKind::Model: return "model";
     }
     return "?";
 }
@@ -47,102 +48,15 @@ PromptLookupDrafter::draft(const std::vector<int> &tokens, int max_tokens)
     return {};
 }
 
-namespace {
-
-ModelConfig
-draftModelConfig(const SpeculationParams &params)
-{
-    TENDER_REQUIRE(params.draftDModel >= 4 && params.draftDModel % 4 == 0,
-                   "SpeculationParams::draftDModel must be a positive"
-                   " multiple of 4 (the draft model runs 4 heads)");
-    TENDER_REQUIRE(params.draftLayers > 0,
-                   "SpeculationParams::draftLayers must be positive");
-    ModelConfig cfg;
-    cfg.name = "draft";
-    cfg.family = Family::Opt;
-    cfg.dModel = params.draftDModel;
-    cfg.nHeads = 4;
-    cfg.kvHeads = 4;
-    cfg.nLayers = params.draftLayers;
-    cfg.dFfn = 2 * params.draftDModel;
-    cfg.decoder = true;
-    return cfg;
-}
-
-} // namespace
-
-ModelDrafter::ModelDrafter(int vocab_size, uint64_t vocab_seed,
-                           const SpeculationParams &params)
-    : model_(draftModelConfig(params), params.draftSeed),
-      vocab_(vocab_size, model_.config().dModel, vocab_seed),
-      cache_(model_.config(), KVCacheConfig{})
-{
-}
-
-int
-ModelDrafter::argmaxLast(const Matrix &hidden) const
-{
-    return vocab_.argmaxToken(hidden, hidden.rows() - 1, defaultKernels());
-}
-
-std::vector<int>
-ModelDrafter::draft(const std::vector<int> &tokens, int max_tokens)
-{
-    TENDER_CHECK(!tokens.empty() && max_tokens >= 1);
-    // Roll the private cache back to the longest common prefix with the
-    // new sequence, keeping at least one token to feed so the step below
-    // always yields a fresh last-row hidden state. The fp32 cache is
-    // step-grouping invariant and truncateRows pops rows exactly, so the
-    // drafts are a pure function of `tokens` no matter how the calls
-    // (and their rollbacks) were interleaved.
-    size_t common = 0;
-    while (common < fed_.size() && common < tokens.size() &&
-           fed_[common] == tokens[common])
-        ++common;
-    common = std::min(common, tokens.size() - 1);
-    if (common < fed_.size()) {
-        cache_.truncateRows(int(fed_.size() - common));
-        fed_.resize(common);
-    }
-
-    const KernelContext &kc = defaultKernels();
-    DecodeStepConfig step; // fp32 defaults; no scheme, no fusion
-    const auto feed = [&](const Matrix &rows) {
-        std::vector<DecodeSegment> segments{
-            {&cache_, 0, rows.rows(), cache_.length()}};
-        return decodeStep(model_, rows, segments, step, kc);
-    };
-
-    // Feed the unseen suffix in one step (fp32: grouping-invariant), then
-    // greedy-extend one drafted token at a time.
-    const std::vector<int> suffix(tokens.begin() + ptrdiff_t(common),
-                                  tokens.end());
-    Matrix hidden = feed(vocab_.embedAll(suffix));
-    fed_ = tokens;
-
-    std::vector<int> drafts;
-    drafts.reserve(size_t(max_tokens));
-    drafts.push_back(argmaxLast(hidden));
-    while (int(drafts.size()) < max_tokens) {
-        hidden = feed(vocab_.embed(drafts.back()));
-        fed_.push_back(drafts.back());
-        drafts.push_back(argmaxLast(hidden));
-    }
-    return drafts;
-}
-
 std::unique_ptr<Drafter>
-makeDrafter(const SpeculationParams &params, int vocab_size,
-            uint64_t vocab_seed)
+makeDrafter(const SpeculationParams &params)
 {
     if (params.drafter == DrafterKind::None)
         return nullptr;
     TENDER_REQUIRE(params.maxDraft > 0,
                    "SpeculationParams::maxDraft must be positive when a"
                    " drafter is selected");
-    if (params.drafter == DrafterKind::PromptLookup)
-        return std::make_unique<PromptLookupDrafter>(params.lookupMaxNgram);
-    return std::make_unique<ModelDrafter>(vocab_size, vocab_seed, params);
+    return std::make_unique<PromptLookupDrafter>(params.lookupMaxNgram);
 }
 
 } // namespace tender

@@ -15,23 +15,17 @@
  *
  * The contract every Drafter must honor: draft(tokens, k) is a pure
  * function of `tokens` (and the drafter's own construction parameters).
- * Internal state is allowed as a cache of work — ModelDrafter keeps its
- * own KV cache warm across calls — but must never make the proposal
- * depend on call history, admission order, batch size, or worker count;
- * that is what keeps speculative scheduling inside the runtime's
- * scheduling-independence contract (tests/test_speculation.cc).
+ * Internal state is allowed only as a cache of work: it must never make
+ * the proposal depend on call history, admission order, batch size, or
+ * worker count; that is what keeps speculative scheduling inside the
+ * runtime's scheduling-independence contract
+ * (tests/test_speculation.cc).
  *
- * Two implementations:
- *  - PromptLookupDrafter: n-gram prompt lookup. Find the longest suffix
- *    of `tokens` (up to maxNgram tokens) that re-occurs earlier in the
- *    sequence, take the most recent earlier occurrence, and propose the
- *    tokens that followed it. Zero model cost; strong on the repetitive
- *    continuations greedy decode settles into.
- *  - ModelDrafter: a small synthetic-config draft model sharing the
- *    target's token-id space. Greedy-decodes k tokens with its own
- *    DecodeEngine-style loop over a private fp32 KVCache, rolling the
- *    cache back to the common prefix between calls (truncateRows), so
- *    each call costs only the new suffix plus the drafted rows.
+ * The one implementation, PromptLookupDrafter, is n-gram prompt lookup:
+ * find the longest suffix of `tokens` (up to maxNgram tokens) that
+ * re-occurs earlier in the sequence, take the most recent earlier
+ * occurrence, and propose the tokens that followed it. Zero model cost;
+ * strong on the repetitive continuations greedy decode settles into.
  */
 
 #ifndef TENDER_RUNTIME_DRAFT_H
@@ -40,8 +34,6 @@
 #include <memory>
 #include <vector>
 
-#include "runtime/decode_engine.h"
-
 namespace tender {
 
 /** Which draft-token proposer a speculating request runs. */
@@ -49,7 +41,6 @@ enum class DrafterKind
 {
     None = 0,     ///< speculation off (plain one-token steps)
     PromptLookup, ///< n-gram suffix lookup in prompt + generated
-    Model,        ///< small synthetic draft model, shared token ids
 };
 
 const char *drafterKindName(DrafterKind kind);
@@ -72,14 +63,6 @@ struct SpeculationParams
     int maxDraft = 4;
     /** PromptLookup: longest suffix n-gram tried before giving up. */
     int lookupMaxNgram = 3;
-    /** Model drafter: hidden width of the small draft model (multiple of
-     *  4; its 4 heads divide it). */
-    int draftDModel = 32;
-    /** Model drafter: transformer blocks of the draft model. */
-    int draftLayers = 2;
-    /** Model drafter: weight seed of the draft model (distinct seeds give
-     *  independent drafters over the same token-id space). */
-    uint64_t draftSeed = 0xd12a;
 };
 
 /** Draft-token proposer interface; see file comment for the purity
@@ -114,38 +97,9 @@ class PromptLookupDrafter : public Drafter
     int maxNgram_;
 };
 
-/** Small-model drafter over the shared token-id space. */
-class ModelDrafter : public Drafter
-{
-  public:
-    /** `vocab_size`/`vocab_seed` must match the scheduler's Vocab so the
-     *  drafted ids and the verified ids live in one token space (the
-     *  drafter's embedding/readout tables are its own — only the id
-     *  space is shared). */
-    ModelDrafter(int vocab_size, uint64_t vocab_seed,
-                 const SpeculationParams &params);
-
-    const char *name() const override { return "model"; }
-
-    std::vector<int> draft(const std::vector<int> &tokens,
-                           int max_tokens) override;
-
-  private:
-    /** Greedy next token after the currently fed sequence, reading the
-     *  last row of `hidden`. */
-    int argmaxLast(const Matrix &hidden) const;
-
-    SyntheticModel model_;
-    Vocab vocab_;
-    KVCache cache_;
-    std::vector<int> fed_; ///< tokens whose rows `cache_` currently holds
-};
-
 /** Build the drafter `params` asks for (validating its fields), or null
- *  for DrafterKind::None. `vocab_size`/`vocab_seed` are the scheduler's
- *  Vocab parameters (the shared token-id space). */
-std::unique_ptr<Drafter> makeDrafter(const SpeculationParams &params,
-                                     int vocab_size, uint64_t vocab_seed);
+ *  for DrafterKind::None. */
+std::unique_ptr<Drafter> makeDrafter(const SpeculationParams &params);
 
 } // namespace tender
 

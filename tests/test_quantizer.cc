@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "quant/quantizer.h"
 #include "util/rng.h"
@@ -51,6 +52,15 @@ TEST(QuantizeValue, ClampsOutOfRange)
     EXPECT_EQ(quantizeValue(-1000.f, 1.f, 8), -127);
     EXPECT_EQ(quantizeValue(1000.f, 1.f, 4), 7);
     EXPECT_EQ(quantizeValue(-1000.f, 1.f, 4), -7);
+    // Quotients no int32 holds clamp before the conversion: infinities
+    // keep their sign, NaN takes the negative end, and +-3e9 saturate.
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(quantizeValue(inf, 1.f, 8), 127);
+    EXPECT_EQ(quantizeValue(-inf, 1.f, 8), -127);
+    EXPECT_EQ(quantizeValue(std::nanf(""), 1.f, 8), -127);
+    EXPECT_EQ(quantizeValue(3e9f, 1.f, 8), 127);
+    EXPECT_EQ(quantizeValue(-3e9f, 1.f, 8), -127);
+    EXPECT_EQ(quantizeValue(1.f, 0.f, 8), 127);
 }
 
 TEST(QuantizeValue, SymmetricRange)

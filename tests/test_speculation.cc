@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for speculative decoding (docs/speculation.md): the prompt-lookup
- * and draft-model drafters, the multi-row verification step, and the
- * KVCache rejection rollback.
+ * drafter, the multi-row verification step, and the KVCache rejection
+ * rollback.
  *
  * The load-bearing contract is bit-identity: a speculating request must
  * emit exactly the tokens of its non-speculating run — greedy and
@@ -206,37 +206,6 @@ TEST(Drafter, PromptLookupFindsRepeatedSuffix)
     EXPECT_EQ((std::vector<int>{5}), d.draft(twice, 1));
 }
 
-TEST(Drafter, DraftsArePureFunctionsOfTheTokenSequence)
-{
-    SpeculationParams params;
-    params.drafter = DrafterKind::Model;
-    params.maxDraft = 4;
-
-    const std::vector<int> base = {3, 1, 4, 1, 5, 9, 2, 6};
-    // One drafter queried incrementally vs a fresh drafter per query:
-    // identical drafts, or re-admission after preemption would change
-    // speculation behaviour (it must not — only tokens matter, and those
-    // are protected by verification anyway).
-    ModelDrafter incremental(48, 1234, params);
-    std::vector<int> tokens = base;
-    for (int step = 0; step < 5; ++step) {
-        ModelDrafter fresh(48, 1234, params);
-        const std::vector<int> a = incremental.draft(tokens, 4);
-        const std::vector<int> b = fresh.draft(tokens, 4);
-        EXPECT_EQ(a, b) << "step " << step;
-        ASSERT_LE(a.size(), 4u);
-        for (const int t : a) {
-            EXPECT_GE(t, 0);
-            EXPECT_LT(t, 48);
-        }
-        tokens.push_back((tokens.back() * 7 + step) % 48);
-    }
-
-    // Same config, same tokens, different instance -> same drafts.
-    ModelDrafter again(48, 1234, params);
-    EXPECT_EQ(again.draft(base, 4), ModelDrafter(48, 1234, params).draft(base, 4));
-}
-
 // ---------------------------------------------------------------------
 // Scheduler-level bit-identity
 // ---------------------------------------------------------------------
@@ -325,16 +294,6 @@ TEST(Speculation, GreedyBitIdenticalQuantizedFusedPromptLookup)
     checkSpecMatchesPlain(true, true, DrafterKind::PromptLookup);
 }
 
-TEST(Speculation, GreedyBitIdenticalFp32ModelDrafter)
-{
-    checkSpecMatchesPlain(false, false, DrafterKind::Model);
-}
-
-TEST(Speculation, GreedyBitIdenticalQuantizedFusedModelDrafter)
-{
-    checkSpecMatchesPlain(true, true, DrafterKind::Model);
-}
-
 TEST(Speculation, RepetitivePromptAcceptsDrafts)
 {
     // The speedup claim needs acceptance, not just verification: on a
@@ -355,12 +314,12 @@ TEST(Speculation, MixedBatchIsOrderAndBackendIndependent)
     SyntheticModel model(smallDecoder(), 37);
     KernelContext serial(Backend::Serial);
 
-    // Mixed traffic: speculating (both drafters, different k) and plain
-    // requests sharing the batch.
+    // Mixed traffic: speculating (different k) and plain requests sharing
+    // the batch.
     std::vector<GenRequest> requests;
     requests.push_back(specRequest(0, DrafterKind::PromptLookup, 4));
     requests.push_back(specRequest(1, DrafterKind::None));
-    requests.push_back(specRequest(2, DrafterKind::Model, 2));
+    requests.push_back(specRequest(2, DrafterKind::PromptLookup, 2));
     requests.push_back(specRequest(3, DrafterKind::PromptLookup, 8));
     requests[3].promptTokens = {1, 2, 1, 2, 1, 2, 1, 2};
 
