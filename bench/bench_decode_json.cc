@@ -95,14 +95,15 @@ struct Run
     double tokensPerS() const { return double(tokens) / seconds; }
 };
 
-/** The audit every run ends with: refcounts consistent, no block left
- *  parked, and once the prefix cache lets go, every block and
- *  reservation back in the pool. */
+/** The audit every run ends with: refcounts consistent, every park
+ *  undone and no block left parked, and once the prefix cache lets go,
+ *  every block and reservation back in the pool. */
 bool
 settles(BatchScheduler &s)
 {
+    const BlockPoolStats drained = s.poolStats();
     const bool parked_ok = s.pool().refcountsConsistent() &&
-        s.poolStats().parkedBlocks == 0;
+        drained.parkedBlocks == 0 && drained.parks == drained.unparks;
     if (s.prefixCache())
         s.prefixCache()->clear();
     const BlockPoolStats ps = s.poolStats();
@@ -995,13 +996,9 @@ main(int argc, char **argv)
         }
         recordRatio(out, path + ".tokens_per_s_ratio", on, off);
     }
-    // Every preemption's park is undone by its resume.
-    bool parks_undone = allSettled(pressure_runs);
-    for (const std::vector<Run> &arm : pressure_runs)
-        for (const Run &r : arm)
-            parks_undone = parks_undone && r.pool.parks == r.pool.unparks;
     out.flag("preemption_pressure.preempt_resume_bitexact", preempt_bitexact);
-    out.flag("preemption_pressure.refcounts_consistent", parks_undone);
+    out.flag("preemption_pressure.refcounts_consistent",
+             allSettled(pressure_runs));
 
     // ---- Fault churn: the mixed traffic under a seeded fault plan. ----
     // Injected KV-allocation failures, throwing streaming callbacks and

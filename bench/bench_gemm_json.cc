@@ -19,10 +19,11 @@
  * gates; scripts/check_bench.py states what each one guards.
  *
  * Usage: bench_gemm_json [--smoke] [m k n workers out.json]
- * Defaults: 512 4096 4096 8 BENCH_gemm.json; --smoke shrinks to
- * 64x256x256 with 2 workers for CI.
+ * Defaults: 512 4096 4096, one worker per hardware thread,
+ * BENCH_gemm.json; --smoke shrinks to 64x256x256 with 2 workers for CI.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -179,8 +180,9 @@ main(int argc, char **argv)
                                         : (smoke ? 256 : 4096);
     const int n = positional.size() > 2 ? std::atoi(positional[2])
                                         : (smoke ? 256 : 4096);
+    const int hw = std::max(1, int(std::thread::hardware_concurrency()));
     const int workers =
-        positional.size() > 3 ? std::atoi(positional[3]) : (smoke ? 2 : 8);
+        positional.size() > 3 ? std::atoi(positional[3]) : (smoke ? 2 : hw);
     const char *out_path =
         positional.size() > 4 ? positional[4] : "BENCH_gemm.json";
     // Products that take microseconds (every smoke product, and the

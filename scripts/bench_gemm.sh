@@ -4,9 +4,9 @@
 # sections; scripts/check_bench.py gates the result.
 #
 # Usage: scripts/bench_gemm.sh [--smoke] [m k n workers [out.json]]
-# Defaults: 512 4096 4096 8 BENCH_gemm.json; --smoke runs the reduced CI
-# sizes. TENDER_CMAKE_ARGS adds configure flags (CI passes the ccache
-# launcher).
+# Defaults: 512 4096 4096, one worker per hardware thread,
+# BENCH_gemm.json; --smoke runs the reduced CI sizes. TENDER_CMAKE_ARGS
+# adds configure flags (CI passes the ccache launcher).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

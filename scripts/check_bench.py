@@ -126,7 +126,8 @@ GATES = [
      "under injected faults and shedding, every surviving request emits "
      "the fault-free run's tokens in every decode arm"),
     ("decode", "fault_churn.refcounts_consistent", TRUE,
-     "failed requests return every KV block and reservation"),
+     "failed requests return every KV block and reservation, and only "
+     "preempted requests count toward the park accounting"),
     ("decode", "spec_decode.spec_decode_bitexact", TRUE,
      "prompt-lookup speculation emits the plain run's tokens at every k in "
      "every KV arm (docs/speculation.md)"),

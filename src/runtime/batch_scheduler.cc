@@ -136,8 +136,10 @@ BatchScheduler::cancel(int id)
             continue;
         // A preempted request cancelled before resume keeps the tokens
         // it generated; its park accounting is settled here while the
-        // parked blocks live on as an ordinary evictable cache entry.
-        pool_->noteUnpark(it->parkedBlocks);
+        // parked blocks live on as an ordinary evictable cache entry. A
+        // queued request that was never preempted parked nothing.
+        if (it->preemptions > 0)
+            pool_->noteUnpark(it->parkedBlocks);
         finished_.push_back(makeResult(id, std::move(it->generated),
                                        it->steps, FinishReason::Cancelled,
                                        FailureReason::None, {}, it->drafted,
@@ -173,7 +175,8 @@ BatchScheduler::failRequest(int id, FailureReason reason,
         // Same park settlement as cancel(): a preempted request failed
         // before resume leaves its parked blocks behind as an ordinary
         // evictable cache entry.
-        pool_->noteUnpark(it->parkedBlocks);
+        if (it->preemptions > 0)
+            pool_->noteUnpark(it->parkedBlocks);
         finished_.push_back(makeResult(id, std::move(it->generated),
                                        it->steps, FinishReason::Failed,
                                        reason, detail, it->drafted,

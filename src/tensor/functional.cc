@@ -1,7 +1,9 @@
 #include "tensor/functional.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace tender {
 
@@ -10,16 +12,28 @@ namespace functional_detail {
 void
 softmaxRowsRange(const Matrix &m, Matrix &out, int r0, int r1)
 {
+    const float neg_inf = -std::numeric_limits<float>::infinity();
+    const int n = m.cols();
+    std::vector<double> e(size_t(n), 0.0); // each exp, kept to normalize
     for (int r = r0; r < r1; ++r) {
-        float row_max = -std::numeric_limits<float>::infinity();
-        for (int c = 0; c < m.cols(); ++c)
-            row_max = std::max(row_max, m(r, c));
+        const float *in = m.rowPtr(r);
+        float *o = out.rowPtr(r);
+        float row_max = neg_inf;
+        for (int c = 0; c < n; ++c)
+            row_max = std::max(row_max, in[c]);
+        // Under a finite max a masked column's exp(-inf) is exactly +0.0:
+        // it adds nothing to the sum and normalizes to 0. A row whose max
+        // is infinite takes the exp of inf - inf and stays NaN.
+        const bool skip_masked = std::isfinite(row_max);
         double denom = 0.0;
-        for (int c = 0; c < m.cols(); ++c)
-            denom += std::exp(double(m(r, c)) - double(row_max));
-        for (int c = 0; c < m.cols(); ++c)
-            out(r, c) = float(std::exp(double(m(r, c)) - double(row_max)) /
-                              denom);
+        for (int c = 0; c < n; ++c) {
+            e[size_t(c)] = skip_masked && in[c] == neg_inf
+                ? 0.0
+                : std::exp(double(in[c]) - double(row_max));
+            denom += e[size_t(c)];
+        }
+        for (int c = 0; c < n; ++c)
+            o[c] = float(e[size_t(c)] / denom);
     }
 }
 

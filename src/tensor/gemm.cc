@@ -3,43 +3,155 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <type_traits>
 
 namespace tender {
 
 namespace gemm_detail {
 
+namespace {
+
+// Register tiles of the fp32 kernels. A tile keeps one double accumulator
+// per output element across its reduction, so the compiler vectorizes
+// over output columns while every sum keeps the golden order (gemm.h).
+// Plain loops and no pragma, as dotTile in core/tender_gemm.cc: GCC 12
+// with -march=native keeps a 6 x 32 gemm tile in 24 zmm registers and
+// converts each B row slice to double once for all six rows. At
+// 157 x 256 x 1024 on one core it ran 19 GMAC/s, where 4 x 24 and 8 x 16
+// tiles ran 9 and 1.2.
+
+constexpr int kMr = 6;   ///< gemm tile rows
+constexpr int kNr = 32;  ///< gemm tile columns
+constexpr int kKc = 256; ///< reduction rows per block
+constexpr int kMc = 48;  ///< output rows per block
+constexpr int kNc = 128; ///< output columns per block
+constexpr int kTransposedColTile = 8; ///< gemmTransposedB tile columns
+
+template <int N> using Int = std::integral_constant<int, N>;
+
+/** Call band(Int<R>{}, i) over rows [r0, r1) in bands of R = MR rows, the
+ *  rows left over forming one smaller band. */
+template <int MR, class Band>
+inline void
+forEachBand(int r0, int r1, const Band &band)
+{
+    int i = r0;
+    for (; i + MR <= r1; i += MR)
+        band(Int<MR>{}, i);
+    if constexpr (MR > 1)
+        if (i < r1)
+            forEachBand<MR - 1>(i, r1, band);
+}
+
+/** Reduction rows [p0, p1) of the output block at (i0, j0). Blocks
+ *  after the first start from the double sums the previous one left in
+ *  `partial` (kMc x kNc); the last one rounds into C. */
+struct GemmBlock
+{
+    const Matrix &a, &b;
+    Matrix &c;
+    int i0, j0, p0, p1;
+    double *partial;
+};
+
+/** Rows [i, i + MR) by columns [j, j + NR) of one reduction block. */
+template <int MR, int NR>
+inline void
+gemmTile(const GemmBlock &blk, int i, int j)
+{
+    const int k = blk.a.cols();
+    const float *a = blk.a.rowPtr(i);
+    double *partial = blk.partial + (i - blk.i0) * kNc + (j - blk.j0);
+    double acc[MR][NR];
+    for (int r = 0; r < MR; ++r)
+        for (int q = 0; q < NR; ++q)
+            acc[r][q] = blk.p0 == 0 ? 0.0 : partial[r * kNc + q];
+    for (int p = blk.p0; p < blk.p1; ++p) {
+        const float *brow = blk.b.rowPtr(p) + j;
+        double bv[NR];
+        for (int q = 0; q < NR; ++q)
+            bv[q] = double(brow[q]);
+        for (int r = 0; r < MR; ++r) {
+            const double av = double(a[size_t(r) * size_t(k) + size_t(p)]);
+            for (int q = 0; q < NR; ++q)
+                acc[r][q] += av * bv[q];
+        }
+    }
+    if (blk.p1 < k) {
+        for (int r = 0; r < MR; ++r)
+            for (int q = 0; q < NR; ++q)
+                partial[r * kNc + q] = acc[r][q];
+        return;
+    }
+    for (int r = 0; r < MR; ++r) {
+        float *crow = blk.c.rowPtr(i + r) + j;
+        for (int q = 0; q < NR; ++q)
+            crow[q] = float(acc[r][q]);
+    }
+}
+
+/** Rows [i, i + MR) by columns [j, j + NC) of C = A * B^T: MR * NC
+ *  independent sums, each sequential in p, sharing each B column's
+ *  conversion to double across the MR rows. */
+template <int MR, int NC>
+inline void
+transposedTile(const Matrix &a, const Matrix &b, Matrix &c, int i, int j)
+{
+    const size_t k = size_t(a.cols());
+    const float *ap = a.rowPtr(i);
+    const float *bp = b.rowPtr(j);
+    double acc[MR][NC] = {};
+    for (size_t p = 0; p < k; ++p) {
+        double bv[NC];
+        for (int q = 0; q < NC; ++q)
+            bv[q] = double(bp[q * k + p]);
+        for (int r = 0; r < MR; ++r) {
+            const double av = double(ap[r * k + p]);
+            for (int q = 0; q < NC; ++q)
+                acc[r][q] += av * bv[q];
+        }
+    }
+    for (int r = 0; r < MR; ++r) {
+        float *crow = c.rowPtr(i + r) + j;
+        for (int q = 0; q < NC; ++q)
+            crow[q] = float(acc[r][q]);
+    }
+}
+
+} // namespace
+
 void
 gemmRowBand(const Matrix &a, const Matrix &b, Matrix &c, int r0, int r1)
 {
-    constexpr int kBlock = kGemmRowBlock;
-    TENDER_CHECK(r0 % kBlock == 0);
     const int k = a.cols(), n = b.cols();
-    // Accumulate in double per output tile to keep the reference numerically
-    // tight for long (4096+) reduction axes.
-    std::vector<double> acc(size_t(kBlock) * size_t(kBlock));
-    for (int i0 = r0; i0 < r1; i0 += kBlock) {
-        const int i1 = std::min(i0 + kBlock, r1);
-        for (int j0 = 0; j0 < n; j0 += kBlock) {
-            const int j1 = std::min(j0 + kBlock, n);
-            std::fill(acc.begin(), acc.end(), 0.0);
-            for (int p0 = 0; p0 < k; p0 += kBlock) {
-                const int p1 = std::min(p0 + kBlock, k);
-                for (int i = i0; i < i1; ++i) {
-                    const float *arow = a.rowPtr(i);
-                    double *crow = acc.data() +
-                        size_t(i - i0) * size_t(kBlock);
-                    for (int p = p0; p < p1; ++p) {
-                        const double av = arow[p];
-                        const float *brow = b.rowPtr(p);
-                        for (int j = j0; j < j1; ++j)
-                            crow[j - j0] += av * double(brow[j]);
-                    }
-                }
-            }
-            for (int i = i0; i < i1; ++i)
-                for (int j = j0; j < j1; ++j)
-                    c(i, j) = float(acc[size_t(i - i0) * size_t(kBlock) +
-                                        size_t(j - j0)]);
+    // Blocking keeps a tile's kKc x kNr slice of B in L1 across the
+    // block's bands: 512 x 4096 x 4096 took 0.6-0.7 s on one core, against
+    // 2.7-3.0 s with each tile running the whole K.
+    double partial[kMc * kNc];
+    for (int i0 = r0; i0 < r1; i0 += kMc) {
+        const int i1 = std::min(i0 + kMc, r1);
+        for (int j0 = 0; j0 < n; j0 += kNc) {
+            const int j1 = std::min(j0 + kNc, n);
+            int p0 = 0;
+            do { // once for k == 0, which writes the empty sums
+                const GemmBlock blk{a, b, c, i0, j0, p0,
+                                    std::min(p0 + kKc, k), partial};
+                const auto tiles = [&](auto cols, int j) {
+                    forEachBand<kMr>(i0, i1, [&](auto rows, int i) {
+                        gemmTile<decltype(rows)::value,
+                                 decltype(cols)::value>(blk, i, j);
+                    });
+                };
+                // Ragged columns: tiles 8 doubles wide, then one.
+                int j = j0;
+                for (; j + kNr <= j1; j += kNr)
+                    tiles(Int<kNr>{}, j);
+                for (; j + 8 <= j1; j += 8)
+                    tiles(Int<8>{}, j);
+                for (; j < j1; ++j)
+                    tiles(Int<1>{}, j);
+                p0 = blk.p1;
+            } while (p0 < k);
         }
     }
 }
@@ -48,17 +160,18 @@ void
 gemmTransposedBRows(const Matrix &a, const Matrix &b, Matrix &c, int r0,
                     int r1)
 {
-    const int k = a.cols(), n = b.rows();
-    for (int i = r0; i < r1; ++i) {
-        const float *arow = a.rowPtr(i);
-        for (int j = 0; j < n; ++j) {
-            const float *brow = b.rowPtr(j);
-            double acc = 0.0;
-            for (int p = 0; p < k; ++p)
-                acc += double(arow[p]) * double(brow[p]);
-            c(i, j) = float(acc);
-        }
-    }
+    const int n = b.rows();
+    const auto tiles = [&](auto cols, int j) {
+        forEachBand<kTransposedRowTile>(r0, r1, [&](auto rows, int i) {
+            transposedTile<decltype(rows)::value,
+                           decltype(cols)::value>(a, b, c, i, j);
+        });
+    };
+    int j = 0;
+    for (; j + kTransposedColTile <= n; j += kTransposedColTile)
+        tiles(Int<kTransposedColTile>{}, j);
+    for (; j < n; ++j)
+        tiles(Int<1>{}, j);
 }
 
 void

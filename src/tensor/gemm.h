@@ -11,6 +11,14 @@
  * callers go through tensor/kernels.h (KernelContext), whose threaded
  * backend dispatches the row-band bodies below (gemm_detail) over a thread
  * pool — same arithmetic per output element, so results are bit-identical.
+ *
+ * The fp32 arithmetic contract (gemm, gemmTransposedB): each output is the
+ * float of a double sum that starts at 0.0 and adds double(a_p) *
+ * double(b_p) in ascending p. A product of two floats is exact in double,
+ * so only the adds round. Hence FMA contraction cannot change a result,
+ * a build without -march=native gives the same bits, and any tiling or
+ * row partition does too: the kernels are free to block, tile and
+ * vectorize across output elements as long as each sum keeps its order.
  */
 
 #ifndef TENDER_TENSOR_GEMM_H
@@ -22,10 +30,11 @@
 
 namespace tender {
 
-/** C = A(BxK) * B(KxN), FP32 with double accumulation, cache-blocked. */
+/** C = A(MxK) * B(KxN) under the fp32 contract above. */
 Matrix gemm(const Matrix &a, const Matrix &b);
 
-/** C = A * B^T (used for attention scores Q*K^T). */
+/** C = A * B^T (attention scores Q*K^T, the readout) under the same
+ *  contract. */
 Matrix gemmTransposedB(const Matrix &a, const Matrix &b);
 
 /** Integer GEMM: int codes in, int64 accumulation out. */
@@ -62,14 +71,17 @@ Matrix axpby(float alpha, const Matrix &a, float beta, const Matrix &b);
 Matrix addRowVector(const Matrix &m, const Matrix &row);
 
 /** Row-band kernel bodies shared by the serial reference above and the
- *  threaded backend of tensor/kernels.h. Bands must start on a multiple of
- *  kGemmRowBlock for gemmRowBand so the tile walk matches the serial one. */
+ *  threaded backend of tensor/kernels.h. Any band gives the same bits. */
 namespace gemm_detail {
 
-/** Tile edge of the blocked FP32 kernel (row-band granularity unit). */
+/** Rows per task of the threaded backend's fp32 gemm. */
 constexpr int kGemmRowBlock = 64;
 
-/** Blocked FP32 kernel over output rows [r0, r1); c must be zeroed. */
+/** Rows per register tile of gemmTransposedBRows, and per task of the
+ *  threaded backend's gemmTransposedB, so a task fills whole tiles. */
+constexpr int kTransposedRowTile = 4;
+
+/** FP32 C = A * B over output rows [r0, r1). */
 void gemmRowBand(const Matrix &a, const Matrix &b, Matrix &c, int r0, int r1);
 
 /** A * B^T over output rows [r0, r1). */

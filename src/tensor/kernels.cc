@@ -152,7 +152,8 @@ KernelContext::gemmTransposedB(const Matrix &a, const Matrix &b) const
         });
         return c;
     }
-    pool_->parallelFor(0, a.rows(), 1, [&](int64_t r0, int64_t r1) {
+    pool_->parallelFor(0, a.rows(), gemm_detail::kTransposedRowTile,
+                       [&](int64_t r0, int64_t r1) {
         gemm_detail::gemmTransposedBRows(a, b, c, int(r0), int(r1));
     });
     return c;

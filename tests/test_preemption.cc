@@ -370,6 +370,59 @@ TEST(Preemption, CancelWhilePreemptedSettlesAccountingAndKeepsTokens)
     EXPECT_TRUE(session.scheduler().pool().refcountsConsistent());
 }
 
+TEST(Preemption, OnlyPreemptedQueueEntriesSettleParkAccounting)
+{
+    SyntheticModel model(smallDecoder(), 79);
+    KernelContext kc(Backend::Serial);
+    const ServeSessionOptions options = preemptOptions(&kc, false, false);
+
+    ServeRequest victim;
+    victim.promptTokens = {11, 12, 13, 14};
+    victim.maxNewTokens = 12;
+    victim.priority = Priority::Batch;
+    ServeRequest waiting = victim;
+    waiting.promptTokens = {21, 22, 23};
+    ServeRequest doomed = victim;
+    doomed.promptTokens = {31, 32, 33};
+    doomed.deadlineUs = 1; // shed while it waits
+    ServeRequest chat;
+    chat.promptTokens = {1, 2, 3};
+    chat.maxNewTokens = 3;
+    chat.priority = Priority::Interactive;
+
+    // The victim holds the only slot (maxBatch = 1), so the other two wait
+    // behind it: one is deadline-shed, the other cancelled, and neither
+    // was ever preempted, so neither touches the park accounting.
+    ServeSession session(model, options);
+    const int vid = session.submit(victim);
+    const int wid = session.submit(waiting);
+    const int did = session.submit(doomed);
+    for (int i = 0; i < 6; ++i)
+        ASSERT_TRUE(session.step());
+    ASSERT_EQ(RequestState::Failed, session.state(did));
+    EXPECT_EQ(FailureReason::DeadlineExceeded,
+              session.result(did)->failure);
+    ASSERT_EQ(RequestState::Queued, session.state(wid));
+    EXPECT_TRUE(session.cancel(wid));
+    EXPECT_EQ(0, session.poolStats().parks);
+    EXPECT_EQ(0, session.poolStats().unparks);
+
+    // A preempted request cancelled before resume still balances.
+    const int cid = session.submit(chat);
+    ASSERT_TRUE(session.step());
+    ASSERT_EQ(RequestState::Preempted, session.state(vid));
+    EXPECT_TRUE(session.cancel(vid));
+    session.drain();
+    EXPECT_EQ(RequestState::Finished, session.state(cid));
+    const BlockPoolStats done = session.poolStats();
+    EXPECT_EQ(1, done.parks);
+    EXPECT_EQ(1, done.unparks);
+    EXPECT_EQ(0u, done.parkedBlocks);
+    session.scheduler().prefixCache()->clear();
+    EXPECT_EQ(0u, session.poolStats().allocatedBlocks);
+    EXPECT_TRUE(session.scheduler().pool().refcountsConsistent());
+}
+
 TEST(Preemption, LaterRequestAdoptsParkedPrefixWhileVictimFrozen)
 {
     SyntheticModel model(smallDecoder(), 83);

@@ -7,14 +7,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <vector>
 
 #include "tensor/functional.h"
 #include "tensor/gemm.h"
+#include "tensor/kernels.h"
 #include "tensor/matrix.h"
 
 namespace tender {
 namespace {
 
+/** The golden fp32 arithmetic, spelled out: each output is the float of
+ *  a double sum that starts at 0.0 and adds double(a) * double(b) in
+ *  ascending k. */
 Matrix
 naiveGemm(const Matrix &a, const Matrix &b)
 {
@@ -27,6 +35,90 @@ naiveGemm(const Matrix &a, const Matrix &b)
             c(i, j) = float(acc);
         }
     return c;
+}
+
+/** The same arithmetic for C = A * B^T. */
+Matrix
+naiveGemmTransposedB(const Matrix &a, const Matrix &b)
+{
+    Matrix c(a.rows(), b.rows(), 0.f);
+    for (int i = 0; i < a.rows(); ++i)
+        for (int j = 0; j < b.rows(); ++j) {
+            double acc = 0.0;
+            for (int k = 0; k < a.cols(); ++k)
+                acc += double(a(i, k)) * double(b(j, k));
+            c(i, j) = float(acc);
+        }
+    return c;
+}
+
+/** The softmax as computed before each exp was kept: the exps summed in
+ *  one pass and recomputed in the next. */
+Matrix
+twoPassSoftmax(const Matrix &m)
+{
+    Matrix out(m.rows(), m.cols());
+    for (int r = 0; r < m.rows(); ++r) {
+        float row_max = -std::numeric_limits<float>::infinity();
+        for (int c = 0; c < m.cols(); ++c)
+            row_max = std::max(row_max, m(r, c));
+        double denom = 0.0;
+        for (int c = 0; c < m.cols(); ++c)
+            denom += std::exp(double(m(r, c)) - double(row_max));
+        for (int c = 0; c < m.cols(); ++c)
+            out(r, c) = float(std::exp(double(m(r, c)) - double(row_max)) /
+                              denom);
+    }
+    return out;
+}
+
+/** Make the first and last product of every sum of A * B huge and
+ *  opposite (A's first column times 2^30, its last column the negative of
+ *  that, B's last row a copy of its first), so that they cancel exactly
+ *  and the float result depends on the order of the adds between them:
+ *  a kernel that reorders a sum no longer matches the bits. `bt` is B
+ *  stored transposed (n x k). */
+void
+cancelEnds(Matrix &a, Matrix &b, bool bt)
+{
+    const int k = a.cols();
+    if (k < 2)
+        return;
+    for (int i = 0; i < a.rows(); ++i) {
+        a(i, 0) *= 1073741824.f;
+        a(i, k - 1) = -a(i, 0);
+    }
+    for (int j = 0; j < (bt ? b.rows() : b.cols()); ++j) {
+        if (bt)
+            b(j, k - 1) = b(j, 0);
+        else
+            b(k - 1, j) = b(0, j);
+    }
+}
+
+::testing::AssertionResult
+sameBits(const Matrix &expect, const Matrix &got)
+{
+    if (expect.rows() != got.rows() || expect.cols() != got.cols())
+        return ::testing::AssertionFailure() << "shape differs";
+    for (size_t i = 0; i < expect.size(); ++i)
+        if (std::memcmp(&expect.data()[i], &got.data()[i], sizeof(float)))
+            return ::testing::AssertionFailure()
+                << "element " << i << ": " << expect.data()[i] << " vs "
+                << got.data()[i];
+    return ::testing::AssertionSuccess();
+}
+
+/** Every arm that computes the golden arithmetic: Serial, and Threaded at
+ *  one and three workers. */
+std::vector<std::unique_ptr<KernelContext>>
+goldenArms()
+{
+    std::vector<std::unique_ptr<KernelContext>> arms;
+    arms.push_back(std::make_unique<KernelContext>(Backend::Serial));
+    arms.push_back(std::make_unique<KernelContext>(Backend::Threaded, 1));
+    arms.push_back(std::make_unique<KernelContext>(Backend::Threaded, 3));
+    return arms;
 }
 
 TEST(Matrix, ConstructionAndAccess)
@@ -99,31 +191,56 @@ TEST_P(GemmShapes, BlockedMatchesNaive)
 {
     auto [m, k, n] = GetParam();
     Rng rng(uint64_t(m * 1000 + k * 10 + n));
-    Matrix a = randomGaussian(m, k, rng);
-    Matrix b = randomGaussian(k, n, rng);
-    Matrix expect = naiveGemm(a, b);
-    Matrix got = gemm(a, b);
-    EXPECT_LE(maxAbsDiff(expect, got), 1e-4f * float(k));
+    for (const bool cancel : {false, true}) {
+        Matrix a = randomGaussian(m, k, rng);
+        Matrix b = randomGaussian(k, n, rng);
+        if (cancel)
+            cancelEnds(a, b, false);
+        const Matrix expect = naiveGemm(a, b);
+        for (const auto &kc : goldenArms())
+            EXPECT_TRUE(sameBits(expect, kc->gemm(a, b)))
+                << backendName(kc->backend()) << " x" << kc->workers()
+                << " cancel " << cancel;
+    }
 }
 
 TEST_P(GemmShapes, TransposedBMatchesExplicitTranspose)
 {
     auto [m, k, n] = GetParam();
     Rng rng(uint64_t(m + k + n));
-    Matrix a = randomGaussian(m, k, rng);
-    Matrix b = randomGaussian(n, k, rng); // will be used as B^T
-    Matrix expect = gemm(a, b.transposed());
-    Matrix got = gemmTransposedB(a, b);
-    EXPECT_LE(maxAbsDiff(expect, got), 1e-4f * float(k));
+    for (const bool cancel : {false, true}) {
+        Matrix a = randomGaussian(m, k, rng);
+        Matrix b = randomGaussian(n, k, rng); // will be used as B^T
+        if (cancel)
+            cancelEnds(a, b, true);
+        const Matrix expect = naiveGemmTransposedB(a, b);
+        for (const auto &kc : goldenArms())
+            EXPECT_TRUE(sameBits(expect, kc->gemmTransposedB(a, b)))
+                << backendName(kc->backend()) << " x" << kc->workers()
+                << " cancel " << cancel;
+    }
 }
 
+// The kernels run 6 x 32 (gemm) and 4 x 8 (gemmTransposedB) register
+// tiles, gemm in 48 x 128 output blocks over 256-deep reduction blocks:
+// these shapes leave every row remainder (m = 5, 7, 13, ...) and column
+// remainder (n = 1, 7, 31, 65, ...), a one-deep reduction, reductions
+// that span several blocks (K = 300, 520, 600, 1024) and several row and
+// column blocks.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmShapes,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 2),
                       std::make_tuple(64, 64, 64),
                       std::make_tuple(65, 130, 67),
                       std::make_tuple(128, 33, 128),
-                      std::make_tuple(7, 256, 9)));
+                      std::make_tuple(7, 256, 9), std::make_tuple(5, 1, 1),
+                      std::make_tuple(7, 1, 7), std::make_tuple(13, 1, 31),
+                      std::make_tuple(5, 19, 65), std::make_tuple(7, 33, 31),
+                      std::make_tuple(13, 64, 7),
+                      std::make_tuple(12, 300, 40),
+                      std::make_tuple(13, 1024, 65),
+                      std::make_tuple(100, 520, 33),
+                      std::make_tuple(50, 600, 161)));
 
 TEST(Gemm, IntGemmExact)
 {
@@ -187,6 +304,27 @@ TEST(Functional, SoftmaxRowsSumToOne)
         }
         EXPECT_NEAR(sum, 1.0, 1e-5);
     }
+}
+
+TEST(Functional, SoftmaxRowsMatchesTwoPassReference)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(5);
+    Matrix m = randomGaussian(7, 37, rng, 0.f, 4.f);
+    // Causal -inf tails of every length, as a prefill block's scores.
+    m = causalMaskFrom(m, 30);
+    for (int c = 0; c < m.cols(); ++c)
+        m(4, c) = -inf; // an all -inf row
+    m(5, 3) = inf;      // a +inf entry
+    m(6, 0) = -inf;     // a masked head before finite entries
+    const Matrix expect = twoPassSoftmax(m);
+    for (int c = 0; c < m.cols(); ++c) {
+        EXPECT_TRUE(std::isnan(expect(4, c)));
+        EXPECT_TRUE(std::isnan(expect(5, c)));
+    }
+    for (const auto &kc : goldenArms())
+        EXPECT_TRUE(sameBits(expect, kc->softmaxRows(m)))
+            << backendName(kc->backend()) << " x" << kc->workers();
 }
 
 TEST(Functional, SoftmaxStableForHugeValues)
