@@ -43,32 +43,45 @@ namespace bench {
 
 /** Name of the fixed reference workload behind calibrationScoreMflops(),
  *  recorded next to the score so scale mismatches are detectable. */
-constexpr const char *kCalibrationWorkload = "serial_fp32_gemm_96x96x96_x4";
+constexpr const char *kCalibrationWorkload =
+    "bench_fixed_loop_fp32_matmul_96x96x96_x4";
 
 /**
  * Fixed reference-workload calibration score for the machine running a
- * bench: best-of-3 timing of a deterministic single-threaded 96^3 GEMM
- * repeated 4x, in MFLOP/s. scripts/check_bench.py --compare-baseline
- * divides the baseline's score by the candidate's to normalize tokens/s
- * before applying the regression threshold, so a slower (or noisy-shared)
- * hosted runner stops reading as a perf regression. Single-threaded and
- * allocation-light on purpose: the score must track the machine, not the
- * worker count or the allocator.
+ * bench: best-of-3 timing of a plain single-threaded 96^3 fp32 matmul
+ * loop, defined here and repeated 4x, in MFLOP/s.
+ * scripts/check_bench.py --compare-baseline divides the baseline's score
+ * by the candidate's to normalize tokens/s before applying the
+ * regression threshold, so a slower (or noisy-shared) hosted runner
+ * stops reading as a perf regression. The loop calls no library kernel,
+ * so a kernel change cannot move the yardstick, and it is
+ * single-threaded and allocation-light on purpose: the score must track
+ * the machine, not the worker count or the allocator.
  */
 inline double
 calibrationScoreMflops()
 {
-    KernelContext serial(Backend::Serial);
     Rng rng(7);
     const int n = 96, reps = 4;
     const Matrix a = randomGaussian(n, n, rng);
     const Matrix b = randomGaussian(n, n, rng);
+    std::vector<float> c(size_t(n) * size_t(n));
     double best = 0.0;
-    double sink = 0.0; // keep the repeated GEMMs observable
+    double sink = 0.0; // keep the repeated products observable
     for (int attempt = 0; attempt < 3; ++attempt) {
         const auto t0 = std::chrono::steady_clock::now();
-        for (int r = 0; r < reps; ++r)
-            sink += double(serial.gemm(a, b)(0, 0));
+        for (int r = 0; r < reps; ++r) {
+            std::fill(c.begin(), c.end(), 0.f);
+            for (int i = 0; i < n; ++i)
+                for (int p = 0; p < n; ++p) {
+                    const float av = a.rowPtr(i)[p];
+                    const float *brow = b.rowPtr(p);
+                    float *crow = c.data() + size_t(i) * size_t(n);
+                    for (int j = 0; j < n; ++j)
+                        crow[j] += av * brow[j];
+                }
+            sink += double(c[size_t(r)]);
+        }
         const double s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
                              .count();

@@ -1,6 +1,7 @@
 #include "model/transformer.h"
 
 #include <cmath>
+#include <limits>
 
 #include "tensor/kernels.h"
 
@@ -19,29 +20,73 @@ kvHeadOf(int q_head, int n_heads, int kv_heads)
     return q_head / (n_heads / kv_heads);
 }
 
+namespace {
+
+/**
+ * softmax(q k^T / sqrt(dh)) v for `heads` query heads stacked head-major
+ * in q (row r is new token r % t of its head, t = q.rows() / heads),
+ * row r masked past key pos0 + r % t when `causal`. Both products run
+ * tensor/gemm.cc's golden row bands over the context's partition, so
+ * every arm — Packed included — computes the golden arithmetic of
+ * tensor/gemm.h and the same bits.
+ */
+Matrix
+attention(const Matrix &q, int heads, const Matrix &k, const Matrix &v,
+          bool causal, int pos0, const KernelContext &kc)
+{
+    TENDER_CHECK(heads >= 1 && q.rows() % heads == 0);
+    TENDER_CHECK(q.cols() == k.cols() && k.rows() == v.rows());
+    const int tnew = q.rows() / heads;
+    TENDER_CHECK(!causal || (pos0 >= 0 && pos0 + tnew <= k.rows()));
+    Matrix scores(q.rows(), k.rows());
+    kc.parallelFor(0, q.rows(), gemm_detail::kTransposedRowTile,
+                   [&](int64_t r0, int64_t r1) {
+        gemm_detail::gemmTransposedBRows(q, k, scores, int(r0), int(r1));
+    });
+    const float inv_sqrt = 1.f / std::sqrt(float(q.cols()));
+    const float neg_inf = -std::numeric_limits<float>::infinity();
+    for (int r = 0; r < scores.rows(); ++r) {
+        float *row = scores.rowPtr(r);
+        for (int c = 0; c < scores.cols(); ++c)
+            row[c] *= inv_sqrt;
+        if (causal)
+            for (int c = pos0 + r % tnew + 1; c < scores.cols(); ++c)
+                row[c] = neg_inf;
+    }
+    const Matrix probs = kc.softmaxRows(scores);
+    Matrix out(q.rows(), v.cols());
+    kc.parallelFor(0, q.rows(), gemm_detail::kGemmRowBlock,
+                   [&](int64_t r0, int64_t r1) {
+        gemm_detail::gemmRowBand(probs, v, out, int(r0), int(r1));
+    });
+    return out;
+}
+
+} // namespace
+
 Matrix
 attentionHead(const Matrix &q, const Matrix &k, const Matrix &v, bool causal,
               const KernelContext *kernels)
 {
-    const KernelContext &kc = kernels ? *kernels : defaultKernels();
-    const float inv_sqrt = 1.f / std::sqrt(float(q.cols()));
-    Matrix scores = kc.scale(kc.gemmTransposedB(q, k), inv_sqrt);
-    if (causal)
-        scores = causalMask(scores);
-    return kc.gemm(kc.softmaxRows(scores), v);
+    return attention(q, 1, k, v, causal, 0,
+                     kernels ? *kernels : defaultKernels());
 }
 
 Matrix
 attentionHeadIncremental(const Matrix &q, const Matrix &k, const Matrix &v,
                          int pos0, const KernelContext *kernels)
 {
-    const KernelContext &kc = kernels ? *kernels : defaultKernels();
-    TENDER_CHECK(q.cols() == k.cols() && k.rows() == v.rows());
-    TENDER_CHECK(pos0 + q.rows() <= k.rows());
-    const float inv_sqrt = 1.f / std::sqrt(float(q.cols()));
-    Matrix scores = kc.scale(kc.gemmTransposedB(q, k), inv_sqrt);
-    scores = kc.causalMaskFrom(scores, pos0);
-    return kc.gemm(kc.softmaxRows(scores), v);
+    return attention(q, 1, k, v, true, pos0,
+                     kernels ? *kernels : defaultKernels());
+}
+
+Matrix
+attentionPanelIncremental(const Matrix &q, int heads, const Matrix &k,
+                          const Matrix &v, int pos0,
+                          const KernelContext *kernels)
+{
+    return attention(q, heads, k, v, true, pos0,
+                     kernels ? *kernels : defaultKernels());
 }
 
 Matrix

@@ -29,7 +29,9 @@ Matrix headSlice(const Matrix &m, int head, int head_dim);
 int kvHeadOf(int q_head, int n_heads, int kv_heads);
 
 /** Exact attention for one head (scaled scores, optional causal mask).
- *  Uses kernels == nullptr ? defaultKernels() : *kernels. */
+ *  The attention functions below compute the golden fp32 arithmetic of
+ *  tensor/gemm.h on every arm, Packed included, partitioned over
+ *  kernels == nullptr ? defaultKernels() : *kernels. */
 Matrix attentionHead(const Matrix &q, const Matrix &k, const Matrix &v,
                      bool causal, const KernelContext *kernels = nullptr);
 
@@ -39,13 +41,25 @@ Matrix attentionHead(const Matrix &q, const Matrix &k, const Matrix &v,
  * history including the new rows (e.g. materialized from a runtime
  * KVCache). Query r attends keys 0..pos0+r. With pos0 = 0 and a history
  * equal to the query rows this is bit-identical to the causal
- * attentionHead, which is what makes fp32-KV decode reproduce prefill
- * exactly (asserted in tests/test_runtime.cc). Uses kernels == nullptr ?
- * defaultKernels() : *kernels.
+ * attentionHead. The decode runtime's fp32 page kernel
+ * (attentionFp32Panel) must equal it bit for bit, which is what makes
+ * fp32-KV decode reproduce prefill exactly (tests/test_runtime.cc).
  */
 Matrix attentionHeadIncremental(const Matrix &q, const Matrix &k,
                                 const Matrix &v, int pos0,
                                 const KernelContext *kernels = nullptr);
+
+/**
+ * attentionHeadIncremental for `heads` query heads sharing one kv
+ * history, stacked head-major: rows [h*t, (h+1)*t) (t = q.rows() /
+ * heads) are head h's queries at positions pos0 .. pos0+t-1. Every step
+ * is row-local, so each panel row equals a heads = 1 call on its head
+ * alone bit for bit. The decode runtime's dequantize path runs it over
+ * the materialized history.
+ */
+Matrix attentionPanelIncremental(const Matrix &q, int heads, const Matrix &k,
+                                 const Matrix &v, int pos0,
+                                 const KernelContext *kernels = nullptr);
 
 /** Full exact forward of one block. The kernel context is the arm the
  *  whole chain (GEMMs, norms, softmax) dispatches on — pass the same

@@ -485,7 +485,31 @@ BatchScheduler::step()
     ++stats_.steps;
     stats_.batchedRows += rows;
 
-    // Read one token per request off its last hidden row — greedy, or the
+    // One readout product per step: the logits of every row a request
+    // may read — its last row, plus one per stacked draft — stacked in
+    // request order. Each row equals its single-row product bit for bit.
+    std::vector<int> logits_row(active_.size(), 0);
+    int read_rows = 0;
+    for (size_t i = 0; i < active_.size(); ++i) {
+        logits_row[i] = read_rows;
+        if (!active_[i].cache.failed())
+            read_rows += 1 + int(active_[i].pendingDraft.size());
+    }
+    Matrix logits;
+    if (read_rows > 0) {
+        Matrix read(read_rows, d);
+        for (size_t i = 0; i < active_.size(); ++i) {
+            if (active_[i].cache.failed())
+                continue;
+            const int n = 1 + int(active_[i].pendingDraft.size());
+            const int first = segments[i].row0 + segments[i].rows - n;
+            std::copy(hidden.rowPtr(first), hidden.rowPtr(first) + n * d,
+                      read.rowPtr(logits_row[i]));
+        }
+        logits = vocab_.logits(read, kernels());
+    }
+
+    // Read one token per request off its logits rows — greedy, or the
     // request's own decode hook (the serving layer's sampler) — retire
     // the finished, and stage single-row inputs for the rest.
     std::vector<Active> still_active;
@@ -512,7 +536,6 @@ BatchScheduler::step()
             ++stats_.failed;
             continue;
         }
-        const DecodeSegment &seg = segments[i];
         // Speculative verify (docs/speculation.md): when drafts were
         // stacked into this step, the segment's rows are [last emitted
         // token, d_1 .. d_k] and row i's hidden state is exactly what
@@ -541,10 +564,11 @@ BatchScheduler::step()
         }
         try {
             for (int v = 0; v <= n_draft && keep_going; ++v) {
-                const int read_row = seg.row0 + seg.rows - 1 - n_draft + v;
+                const Matrix row_logits = logits.rowSlice(
+                    logits_row[i] + v, logits_row[i] + v + 1);
                 const int token = a.request.decode
-                    ? a.request.decode(hidden, read_row, kernels())
-                    : vocab_.argmaxToken(hidden, read_row, kernels());
+                    ? a.request.decode(row_logits)
+                    : Vocab::argmax(row_logits);
                 TENDER_CHECK_MSG(
                     token >= 0 && token < vocab_.size(),
                     "request " << a.request.id

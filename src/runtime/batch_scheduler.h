@@ -129,14 +129,13 @@ struct GenRequest
     std::vector<int> promptTokens; ///< Vocab token ids
     int maxNewTokens = 1;
     Priority priority = Priority::Batch;
-    /** Optional token readout override: given the stacked hidden states,
-     *  this request's last row index, and the kernel context, return the
+    /** Optional token readout override: given this request's 1 x vocab
+     *  logits row (Vocab::logits of the hidden row it reads), return the
      *  next token id (the serving layer's sampling hook). Null = greedy
-     *  argmax through the scheduler's Vocab. Must be a pure function of
-     *  the hidden row (plus request-owned state) so generated tokens stay
+     *  Vocab::argmax of the same row. Must be a pure function of the
+     *  logits row (plus request-owned state) so generated tokens stay
      *  independent of admission order, batch size, and worker count. */
-    std::function<int(const Matrix &hidden, int row, const KernelContext &kc)>
-        decode = nullptr;
+    std::function<int(const Matrix &logits)> decode = nullptr;
     /** Optional per-token streaming callback, invoked in generation order
      *  right after each token is decoded. Returning false finishes the
      *  request (FinishReason::Stopped) before its budget — the stop-

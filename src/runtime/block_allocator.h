@@ -177,19 +177,22 @@ class BlockAllocator
     bool refcountsConsistent() const;
 
     /**
-     * Content checksum of an allocated block (FNV-1a over the fp32
-     * payload, or over codes + metadata + bit width of every chunk slot
-     * in quantized mode — the self-describing page layout is what makes
-     * this a complete content hash). Stamped by PrefixCache::insert on
-     * published/parked pages and re-verified before adoption/resume, so
-     * a corrupted shared page is detected instead of silently decoding
-     * into wrong tokens. Only meaningful for frozen (no-longer-written)
-     * blocks; the hash itself runs outside the pool lock because frozen
-     * payloads are immutable.
+     * Content checksum of an allocated block (FNV-1a with one step per
+     * 8-byte word, over the fp32 payload, or over codes + metadata + bit
+     * width of every chunk slot in quantized mode — the self-describing
+     * page layout is what makes this a complete content hash). Stamped
+     * by PrefixCache::insert on published/parked pages and re-verified
+     * before adoption/resume, so a corrupted shared page is detected
+     * instead of silently decoding into wrong tokens. Only meaningful
+     * for frozen (no-longer-written) blocks; the hash itself runs
+     * outside the pool lock because frozen payloads are immutable.
      */
     uint64_t checksumBlock(int block) const;
 
-    /** Fp32 payload of a block: blockTokens x headDim floats. */
+    /** Fp32 payload of a block: blockTokens x headDim floats. The pool
+     *  only copies and hashes it whole; the cache decides the layout (a
+     *  K page is channel-major, a V page row-major: KVPageView in
+     *  runtime/kv_cache.h). */
     float *fp32Rows(int block);
     const float *fp32Rows(int block) const;
 

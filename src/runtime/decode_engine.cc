@@ -53,38 +53,183 @@ class PhaseTimer
     std::chrono::steady_clock::time_point t0_;
 };
 
+using gemm_detail::forEachBand;
+using gemm_detail::Int;
+
+/** Query rows per register tile of the attention kernels below. */
+constexpr int kRowTile = 4;
+
 /**
- * Fp32 multi-query attention panel: attentionHeadIncremental for `heads`
- * query heads sharing one kv history, stacked head-major like
- * attentionFusedQuantPanel. One scores GEMM / softmax / probs*V GEMM per
- * kv head instead of one per query head. The mask replays
- * causalMaskFrom's per-row -inf writes with the panel's row -> position
- * mapping (row r is new token r % t of its head); every kernel in the
- * chain is row-local, so each panel row is bit-identical to a heads=1
- * attentionHeadIncremental on that head alone — which keeps fp32-KV
- * decode bit-identical to prefill with MQ panels on or off.
+ * Dots of R query rows (row-major, `dh` wide, from `q`) with columns
+ * [0, n) of one channel-major panel (column x of channel c at
+ * b[c * ld + x]): store(r, x, dot) receives each dot as the double sum
+ * of tensor/gemm.h — from 0.0, adding double(q) * double(b) in
+ * ascending channel. Register tiles of R x 32, 8 or 1 independent sums
+ * vectorize across columns; every sum keeps its order.
  */
-Matrix
-attentionPanelIncremental(const Matrix &q, int heads, const Matrix &k,
-                          const Matrix &v, int pos0,
-                          const KernelContext &kc)
+template <int R, class Store>
+inline void
+panelDots(const float *q, int dh, const float *b, int ld, int n,
+          const Store &store)
 {
-    TENDER_CHECK(heads >= 1 && q.rows() % heads == 0);
-    TENDER_CHECK(q.cols() == k.cols() && k.rows() == v.rows());
-    const int tnew = q.rows() / heads;
-    TENDER_CHECK(pos0 + tnew <= k.rows());
-    const float inv_sqrt = 1.f / std::sqrt(float(q.cols()));
-    Matrix scores = kc.scale(kc.gemmTransposedB(q, k), inv_sqrt);
+    const auto tile = [&](auto cols, int x) {
+        constexpr int W = decltype(cols)::value;
+        double acc[R][W] = {};
+        for (int c = 0; c < dh; ++c) {
+            const float *bc = b + size_t(c) * size_t(ld) + size_t(x);
+            double bv[W];
+            for (int w = 0; w < W; ++w)
+                bv[w] = double(bc[w]);
+            for (int r = 0; r < R; ++r) {
+                const double qv = double(q[size_t(r) * size_t(dh) + size_t(c)]);
+                for (int w = 0; w < W; ++w)
+                    acc[r][w] += qv * bv[w];
+            }
+        }
+        for (int r = 0; r < R; ++r)
+            for (int w = 0; w < W; ++w)
+                store(r, x + w, acc[r][w]);
+    };
+    int x = 0;
+    for (; x + 32 <= n; x += 32)
+        tile(Int<32>{}, x);
+    for (; x + 8 <= n; x += 8)
+        tile(Int<8>{}, x);
+    for (; x < n; ++x)
+        tile(Int<1>{}, x);
+}
+
+/**
+ * Softmax of panel row `row` over its unmasked columns [0, limit), in
+ * place, replaying softmaxRowsRange's per-element arithmetic on them:
+ * a masked column is -inf there and adds an exact +0.0, so visiting only
+ * the unmasked ones gives the same bits. `e` holds at least `limit`
+ * doubles.
+ */
+void
+softmaxUnmasked(float *row, int limit, double *e)
+{
     const float neg_inf = -std::numeric_limits<float>::infinity();
-    for (int r = 0; r < scores.rows(); ++r) {
-        float *row = scores.rowPtr(r);
-        for (int c = pos0 + (r % tnew) + 1; c < scores.cols(); ++c)
-            row[c] = neg_inf;
+    float row_max = neg_inf;
+    for (int j = 0; j < limit; ++j)
+        row_max = std::max(row_max, row[j]);
+    const bool skip_masked = std::isfinite(row_max);
+    double denom = 0.0;
+    for (int j = 0; j < limit; ++j) {
+        e[j] = skip_masked && row[j] == neg_inf
+            ? 0.0
+            : std::exp(double(row[j]) - double(row_max));
+        denom += e[j];
     }
-    return kc.gemm(kc.softmaxRows(scores), v);
+    for (int j = 0; j < limit; ++j)
+        row[j] = float(e[j] / denom);
+}
+
+/**
+ * Output channels [c, c + NC) of probs * V for panel rows [i, i + R),
+ * with V read in place from row-major pages of `bt` rows. Row r sums
+ * only its unmasked keys [0, limit[r]), each as one double sum in
+ * ascending key order; the rows share each V row's conversion up to
+ * their smallest limit, and the accumulators stay in registers across V
+ * rows.
+ */
+template <int R, int NC>
+inline void
+probsValueTile(const Matrix &probs, int i, const int *limit,
+               const std::vector<const float *> &pages, int bt, int dh,
+               int c, Matrix &out)
+{
+    double acc[R][NC] = {};
+    int shared = limit[0];
+    for (int r = 1; r < R; ++r)
+        shared = std::min(shared, limit[r]);
+    for (int x0 = 0; x0 < shared; x0 += bt) {
+        const float *page = pages[size_t(x0 / bt)] + c;
+        const int n = std::min(bt, shared - x0);
+        for (int x = 0; x < n; ++x) {
+            const float *vrow = page + size_t(x) * size_t(dh);
+            double vv[NC];
+            for (int q = 0; q < NC; ++q)
+                vv[q] = double(vrow[q]);
+            for (int r = 0; r < R; ++r) {
+                const double p = double(probs.rowPtr(i + r)[x0 + x]);
+                for (int q = 0; q < NC; ++q)
+                    acc[r][q] += p * vv[q];
+            }
+        }
+    }
+    for (int r = 0; r < R; ++r) {
+        const float *prow = probs.rowPtr(i + r);
+        for (int j = shared; j < limit[r]; ++j) {
+            const float *vrow = pages[size_t(j / bt)] +
+                size_t(j % bt) * size_t(dh) + size_t(c);
+            const double p = double(prow[j]);
+            for (int q = 0; q < NC; ++q)
+                acc[r][q] += p * double(vrow[q]);
+        }
+        float *orow = out.rowPtr(i + r) + c;
+        for (int q = 0; q < NC; ++q)
+            orow[q] = float(acc[r][q]);
+    }
 }
 
 } // namespace
+
+Matrix
+attentionFp32Panel(const Matrix &q, int heads, const KVPageView &kv,
+                   int pos0)
+{
+    const int dh = q.cols();
+    TENDER_CHECK(heads >= 1 && q.rows() % heads == 0);
+    const int tnew = q.rows() / heads; ///< new tokens per head
+    const int qrows = q.rows();        ///< panel rows (head-major)
+    const int len = kv.rows;
+    const int bt = kv.blockTokens;
+    TENDER_CHECK(pos0 >= 0 && pos0 + tnew <= len && bt > 0);
+    TENDER_CHECK(kv.keys.size() == kv.values.size() &&
+                 int(kv.keys.size()) * bt >= len);
+    // Panel row r is new token r % tnew of its head: it reads keys
+    // [0, limit(r)) and nothing past its own position.
+    const auto limit = [&](int r) { return pos0 + r % tnew + 1; };
+
+    // Scaled scores, tile by tile off the channel-major K pages; a row
+    // tile stops at its last row's last unmasked key.
+    const float inv_sqrt = 1.f / std::sqrt(float(dh));
+    Matrix probs(qrows, len);
+    forEachBand<kRowTile>(0, qrows, [&](auto rows, int i) {
+        constexpr int R = decltype(rows)::value;
+        int end = 0;
+        for (int r = i; r < i + R; ++r)
+            end = std::max(end, limit(r));
+        for (int x0 = 0; x0 < end; x0 += bt)
+            panelDots<R>(q.rowPtr(i), dh, kv.keys[size_t(x0 / bt)], bt,
+                         std::min(bt, end - x0),
+                         [&](int r, int x, double dot) {
+                probs.rowPtr(i + r)[x0 + x] = float(dot) * inv_sqrt;
+            });
+    });
+    std::vector<double> e(static_cast<size_t>(len));
+    for (int r = 0; r < qrows; ++r)
+        softmaxUnmasked(probs.rowPtr(r), limit(r), e.data());
+
+    // probs * V over each row's unmasked keys, 32, 8 or 1 output
+    // channels per tile.
+    Matrix out(qrows, dh);
+    forEachBand<kRowTile>(0, qrows, [&](auto rows, int i) {
+        constexpr int R = decltype(rows)::value;
+        int lim[R];
+        for (int r = 0; r < R; ++r)
+            lim[r] = limit(i + r);
+        int c = 0;
+        for (; c + 32 <= dh; c += 32)
+            probsValueTile<R, 32>(probs, i, lim, kv.values, bt, dh, c, out);
+        for (; c + 8 <= dh; c += 8)
+            probsValueTile<R, 8>(probs, i, lim, kv.values, bt, dh, c, out);
+        for (; c < dh; ++c)
+            probsValueTile<R, 1>(probs, i, lim, kv.values, bt, dh, c, out);
+    });
+    return out;
+}
 
 Matrix
 attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
@@ -119,6 +264,31 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
             for (int c = 0; c < dh; ++c)
                 dst[c] = quantizeValue(src[c], qscale[size_t(r)], bits);
         }
+    }
+
+    // The key bias is per-channel constant within a chunk, so its score
+    // contribution is one fp dot per (query row, chunk) on the exact fp
+    // query — the bias term carries no query quantization error. All of
+    // them come from one pass of register tiles over the chunks' biases.
+    const int n_frozen = int(keys.frozen.size());
+    std::vector<double> qbias(size_t(qrows) * size_t(n_frozen));
+    if (n_frozen > 0) {
+        std::vector<float> bias_t(size_t(n_frozen) * size_t(dh));
+        for (int f = 0; f < n_frozen; ++f) {
+            const ChunkMeta &meta = keys.frozen[size_t(f)]->meta;
+            TENDER_CHECK(meta.channels() == dh);
+            for (int c = 0; c < dh; ++c)
+                bias_t[size_t(c) * size_t(n_frozen) + size_t(f)] =
+                    meta.bias[size_t(c)];
+        }
+        forEachBand<kRowTile>(0, qrows, [&](auto rows, int i) {
+            panelDots<decltype(rows)::value>(
+                q.rowPtr(i), dh, bias_t.data(), n_frozen, n_frozen,
+                [&](int r, int f, double dot) {
+                    qbias[size_t(i + r) * size_t(n_frozen) + size_t(f)] =
+                        dot;
+                });
+        });
     }
 
     Matrix scores(qrows, len);
@@ -172,69 +342,57 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
             kc.gemmInt8(qshift, ch->codes, max_shifted, max_code);
         const double s_last = double(meta.scale[size_t(g_count - 1)]);
         const int rows = ch->codes.rows();
+        const size_t f = size_t(k0 / keys.rowChunk);
         for (int r = 0; r < qrows; ++r) {
-            // The key bias is per-channel constant within the chunk, so
-            // its score contribution is one fp dot per (chunk, query row)
-            // on the exact fp query — the bias term carries no query
-            // quantization error.
-            double qbias = 0.0;
-            const float *qrow = q.rowPtr(r);
-            for (int c = 0; c < dh; ++c)
-                qbias += double(qrow[c]) * double(meta.bias[size_t(c)]);
+            const double qb = qbias[size_t(r) * size_t(n_frozen) + f];
             const int32_t *prow = panel.rowPtr(r);
             float *srow = scores.rowPtr(r) + k0;
             const double sq = double(qscale[size_t(r)]);
             for (int j = 0; j < rows; ++j)
-                srow[j] = float(double(prow[j]) * sq * s_last + qbias);
+                srow[j] = float(double(prow[j]) * sq * s_last + qb);
         }
         k0 += rows;
     }
     TENDER_CHECK(k0 == keys.frozenRows);
-    // The reader's own chunk: exact fp dot against its fp32 rows (the
+    // The reader's own chunk: exact fp dots against its fp32 rows (the
     // newest tokens see no query quantization error, matching the
-    // dequantize path bit for bit on this tail).
+    // dequantize path bit for bit on this tail), in register tiles over
+    // a channel-major copy of at most one chunk. A row tile stops at its
+    // last unmasked key.
     const int open = len - keys.frozenRows;
     TENDER_CHECK(open == 0 || (keys.open && values.open));
-    for (int r = 0; r < qrows; ++r) {
-        const float *qrow = q.rowPtr(r);
-        float *srow = scores.rowPtr(r) + keys.frozenRows;
-        for (int j = 0; j < open; ++j) {
-            const float *krow = keys.open + size_t(j) * size_t(dh);
-            double dot = 0.0;
+    if (open > 0) {
+        std::vector<float> open_t(size_t(open) * size_t(dh));
+        for (int j = 0; j < open; ++j)
             for (int c = 0; c < dh; ++c)
-                dot += double(qrow[c]) * double(krow[c]);
-            srow[j] = float(dot);
-        }
+                open_t[size_t(c) * size_t(open) + size_t(j)] =
+                    keys.open[size_t(j) * size_t(dh) + size_t(c)];
+        forEachBand<kRowTile>(0, qrows, [&](auto rows, int i) {
+            constexpr int R = decltype(rows)::value;
+            int end = 0;
+            for (int r = i; r < i + R; ++r)
+                end = std::max(end, pos0 + (r % tnew) + 1 - keys.frozenRows);
+            panelDots<R>(q.rowPtr(i), dh, open_t.data(), open,
+                         std::min(open, end), [&](int r, int j, double dot) {
+                scores.rowPtr(i + r)[keys.frozenRows + j] = float(dot);
+            });
+        });
     }
 
-    // Scale / causal-mask / softmax in place, replaying the oracle's
-    // kernel-chain arithmetic exactly: the chain scales every column, sets
-    // columns past the row's position to -inf, then softmaxes the row —
-    // masked columns contribute exp(-inf) = +0.0 to the denominator (an
-    // exact identity) and come out as +0.0 probabilities, so skipping them
-    // here and writing 0 directly is bit-identical while saving the three
-    // intermediate matrices per panel call. Each exp is computed once and
-    // kept for the normalize pass. Panel row r is new token r % tnew of
-    // its head, hence the per-row-group causal limit.
+    // Scale and softmax each row in place over its unmasked columns,
+    // replaying the oracle's kernel-chain arithmetic exactly
+    // (softmaxUnmasked); the masked columns get the chain's +0.0
+    // probabilities. Panel row r is new token r % tnew of its head, hence
+    // the per-row-group causal limit.
     const float inv_sqrt = 1.f / std::sqrt(float(dh));
     std::vector<double> expv(static_cast<size_t>(len));
     for (int r = 0; r < qrows; ++r) {
         float *row = scores.rowPtr(r);
-        const int limit = std::min(len, pos0 + (r % tnew) + 1);
-        float row_max = -std::numeric_limits<float>::infinity();
-        for (int j = 0; j < limit; ++j) {
-            row[j] *= inv_sqrt;
-            row_max = std::max(row_max, row[j]);
-        }
-        double denom = 0.0;
-        for (int j = 0; j < limit; ++j) {
-            expv[size_t(j)] = std::exp(double(row[j]) - double(row_max));
-            denom += expv[size_t(j)];
-        }
+        const int limit = pos0 + (r % tnew) + 1;
         for (int j = 0; j < limit; ++j)
-            row[j] = float(expv[size_t(j)] / denom);
-        for (int j = limit; j < len; ++j)
-            row[j] = 0.f;
+            row[j] *= inv_sqrt;
+        softmaxUnmasked(row, limit, expv.data());
+        std::fill(row + limit, row + len, 0.f);
     }
     const Matrix &probs = scores;
 
@@ -401,60 +559,83 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
     }
     first_band[segments.size()] = bands.size();
 
-    // Gather each (band, kv-head) history exactly once — under
-    // grouped-query attention several query heads share a kv head. On the
-    // fused path a quantized history is a zero-copy chunk-code view into
-    // the pool pages and the cache's fp32 staging; otherwise it is fully
-    // materialized (a dequantize pass, frozen chunks memoized by the
-    // cache). A task covers one (segment, kv-head) and walks its bands, so
-    // no store's memo is materialized concurrently.
+    // Each (band, kv-head) history is read once — under grouped-query
+    // attention several query heads share a kv head — in one of three
+    // forms. An fp32 cache gives a page view and a quantized one on the
+    // fused path a chunk-code view: pointer tables into the pool pages
+    // (and the quantized cache's fp32 staging), built here on the calling
+    // thread. Only the dequantize path copies, materializing the history
+    // (frozen chunks memoized by the cache) in a (segment, kv-head)
+    // fan-out, so no store's memo is materialized concurrently.
     //
     // Failure containment: a cache whose append faulted this step (see
     // KVCache::appendRows) may hold stores of uneven length, so its
-    // history must not be read — every fan-out below skips failed
+    // history must not be read — every loop below skips failed
     // segments. Their attention rows stay zero (Matrix zero-initializes),
     // the batched projections still run over them (row-local, so garbage
     // rows influence nobody else's rows), and the scheduler retires the
     // owning request after the step. Co-scheduled segments compute
     // exactly what they would have computed in a fault-free run.
     const int kv_heads = config.kvHeads;
+    enum class Read { Pages, Codes, Dequantize };
     struct HeadHistory
     {
-        Matrix k, v;             ///< materialized (oracle path)
-        KVCodeView kCodes, vCodes; ///< fused path
-        bool fused = false;
+        Read read = Read::Pages;
+        KVPageView pages;          ///< fp32 cache
+        KVCodeView kCodes, vCodes; ///< quantized cache, fused path
+        Matrix k, v;               ///< quantized cache, dequantize path
     };
     std::vector<HeadHistory> hist(bands.size() * size_t(kv_heads));
-    kc.parallelFor(0, int64_t(segments.size()) * int64_t(kv_heads), 1,
-                   [&](int64_t t0, int64_t t1) {
-        for (int64_t t = t0; t < t1; ++t) {
-            const size_t si = size_t(t) / size_t(kv_heads);
-            const DecodeSegment &seg = segments[si];
-            const int kvh = int(t % int64_t(kv_heads));
-            if (seg.cache->failed())
-                continue;
-            const bool fused = options.fusedQuantKv &&
-                seg.cache->config().mode == KVCacheMode::TenderQuantized;
-            for (size_t b = first_band[si]; b < first_band[si + 1]; ++b) {
-                const int last = bands[b].pos0 + bands[b].rows - 1;
-                HeadHistory &hh = hist[b * size_t(kv_heads) + size_t(kvh)];
-                hh.fused = fused;
-                if (fused) {
-                    hh.kCodes = seg.cache->keyView(layer, kvh, last);
-                    hh.vCodes = seg.cache->valueView(layer, kvh, last);
-                } else {
-                    hh.k = seg.cache->keys(layer, kvh, last);
-                    hh.v = seg.cache->values(layer, kvh, last);
-                }
+    const auto readOf = [&](const DecodeSegment &seg) {
+        if (seg.cache->config().mode == KVCacheMode::Fp32)
+            return Read::Pages;
+        return options.fusedQuantKv ? Read::Codes : Read::Dequantize;
+    };
+    const auto gather = [&](size_t si, int kvh) {
+        const DecodeSegment &seg = segments[si];
+        const Read read = readOf(seg);
+        for (size_t b = first_band[si]; b < first_band[si + 1]; ++b) {
+            const int last = bands[b].pos0 + bands[b].rows - 1;
+            HeadHistory &hh = hist[b * size_t(kv_heads) + size_t(kvh)];
+            hh.read = read;
+            if (read == Read::Pages) {
+                hh.pages = seg.cache->pageView(layer, kvh, last);
+            } else if (read == Read::Codes) {
+                hh.kCodes = seg.cache->keyView(layer, kvh, last);
+                hh.vCodes = seg.cache->valueView(layer, kvh, last);
+            } else {
+                hh.k = seg.cache->keys(layer, kvh, last);
+                hh.v = seg.cache->values(layer, kvh, last);
             }
         }
-    });
+    };
+    bool dequantize = false;
+    for (size_t si = 0; si < segments.size(); ++si) {
+        if (segments[si].cache->failed())
+            continue;
+        if (readOf(segments[si]) == Read::Dequantize) {
+            dequantize = true;
+            continue;
+        }
+        for (int kvh = 0; kvh < kv_heads; ++kvh)
+            gather(si, kvh);
+    }
+    if (dequantize)
+        kc.parallelFor(0, int64_t(segments.size()) * int64_t(kv_heads), 1,
+                       [&](int64_t t0, int64_t t1) {
+            for (int64_t t = t0; t < t1; ++t) {
+                const size_t si = size_t(t) / size_t(kv_heads);
+                if (!segments[si].cache->failed() &&
+                    readOf(segments[si]) == Read::Dequantize)
+                    gather(si, int(t % int64_t(kv_heads)));
+            }
+        });
     timer.accumulate(&DecodePhaseTimes::historyUs);
 
     // Attention stays per request (distinct KV histories). With MQ panels
     // on (the default), the fan-out is per (band, kv-head): the
     // nHeads/kvHeads query heads sharing a kv head run as one stacked
-    // panel call, so each frozen chunk is read (and its per-chunk
+    // panel call, so each page or frozen chunk is read (and a chunk's
     // fold/scale work paid) once per kv head instead of once per query
     // head. Panels are row-local, so both fan-outs produce bit-identical
     // output; either way tasks write disjoint output tiles, so the
@@ -482,17 +663,19 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
                                   qp.rowPtr(g * band.rows + r));
                     }
                 }
-                const Matrix out = hh.fused
+                const Matrix out = hh.read == Read::Pages
+                    ? attentionFp32Panel(qp, group, hh.pages, band.pos0)
+                    : hh.read == Read::Codes
                     ? attentionFusedQuantPanel(qp, group, hh.kCodes,
                                                hh.vCodes, band.pos0, kc)
                     : attentionPanelIncremental(qp, group, hh.k, hh.v,
-                                                band.pos0, kc);
+                                                band.pos0, &kc);
                 for (int g = 0; g < group; ++g) {
                     const int h = kvh * group + g;
                     for (int r = 0; r < band.rows; ++r)
-                        for (int c = 0; c < dh; ++c)
-                            attn(band.row0 + r, h * dh + c) =
-                                out(g * band.rows + r, c);
+                        std::copy(out.rowPtr(g * band.rows + r),
+                                  out.rowPtr(g * band.rows + r) + dh,
+                                  attn.rowPtr(band.row0 + r) + h * dh);
                 }
             }
         });
@@ -510,14 +693,16 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
                     hist[bi * size_t(kv_heads) + size_t(kvh)];
                 const Matrix qh = headSlice(
                     xq.rowSlice(band.row0, band.row0 + band.rows), h, dh);
-                const Matrix out = hh.fused
+                const Matrix out = hh.read == Read::Pages
+                    ? attentionFp32Panel(qh, 1, hh.pages, band.pos0)
+                    : hh.read == Read::Codes
                     ? attentionHeadFusedQuant(qh, hh.kCodes, hh.vCodes,
                                               band.pos0, kc)
                     : attentionHeadIncremental(qh, hh.k, hh.v, band.pos0,
                                                &kc);
                 for (int r = 0; r < out.rows(); ++r)
-                    for (int c = 0; c < dh; ++c)
-                        attn(band.row0 + r, h * dh + c) = out(r, c);
+                    std::copy(out.rowPtr(r), out.rowPtr(r) + dh,
+                              attn.rowPtr(band.row0 + r) + h * dh);
             }
         });
     }
@@ -659,20 +844,33 @@ Matrix
 Vocab::logits(const Matrix &hidden, int row, const KernelContext &kc) const
 {
     TENDER_CHECK(row >= 0 && row < hidden.rows());
+    return logits(hidden.rowSlice(row, row + 1), kc);
+}
+
+Matrix
+Vocab::logits(const Matrix &hidden, const KernelContext &kc) const
+{
     TENDER_CHECK(hidden.cols() == embedding_.cols());
-    return kc.gemmTransposedB(hidden.rowSlice(row, row + 1), readout_);
+    return kc.gemmTransposedB(hidden, readout_);
+}
+
+int
+Vocab::argmax(const Matrix &logits)
+{
+    TENDER_CHECK(logits.rows() == 1 && logits.cols() > 0);
+    const float *l = logits.rowPtr(0);
+    int best = 0;
+    for (int t = 1; t < logits.cols(); ++t)
+        if (l[t] > l[best])
+            best = t;
+    return best;
 }
 
 int
 Vocab::argmaxToken(const Matrix &hidden, int row,
                    const KernelContext &kc) const
 {
-    const Matrix l = logits(hidden, row, kc);
-    int best = 0;
-    for (int t = 1; t < l.cols(); ++t)
-        if (l(0, t) > l(0, best))
-            best = t;
-    return best;
+    return argmax(logits(hidden, row, kc));
 }
 
 } // namespace tender

@@ -7,21 +7,20 @@
  * belonging to one request's cache. Fp32 QKV/O/FFN projections run as
  * single GEMMs over the stacked rows (they are row-local, so batching
  * changes nothing numerically), K/V rows are appended to each segment's
- * cache, and attention runs per (band, head) with
- * attentionHeadIncremental over the materialized history — each read
- * walks that segment's block table in the shared BlockAllocator pool
- * (runtime/kv_cache.h), gathering pages in logical-row order so paging
- * never perturbs the numerics — parallelized across the KernelContext's
- * thread pool with disjoint output writes, so results are bit-identical
- * for any worker count. A band is a segment's rows that read one history:
- * an fp32 segment is one band, a quantized one splits at KV row-chunk
+ * cache, and attention runs per (band, kv-head) over the thread pool
+ * with disjoint output writes, so results are bit-identical for any
+ * worker count. A band is a segment's rows that read one history: an
+ * fp32 segment is one band, a quantized one splits at KV row-chunk
  * boundaries, because a query reads its own chunk in fp32 and earlier
  * chunks as frozen codes (the quantized-KV contract of kv_cache.h).
- * With DecodeOptions::fusedQuantKv, quantized-cache segments instead run
- * attentionHeadFusedQuant directly on the KV chunk codes (KVCodeView),
- * skipping the fp32 materialization entirely — the MSA-style dataflow the
- * paper hardware implements for its GEMMs, applied to the decode
- * attention ops.
+ * Every arm reads the cache pages in place, in logical-row order, so
+ * paging never perturbs the numerics: an fp32 cache through a KVPageView
+ * into attentionFp32Panel, and, with DecodeOptions::fusedQuantKv, a
+ * quantized one through a KVCodeView into attentionFusedQuantPanel — the
+ * MSA-style dataflow the paper hardware implements for its GEMMs,
+ * applied to the decode attention ops. Only the dequantize path (a
+ * quantized cache without fusedQuantKv, the fused path's oracle)
+ * materializes the history and runs attentionPanelIncremental on it.
  *
  * DecodeEngine wraps one cache (one request): prefill() consumes the
  * prompt in a single step, step() extends it. With an Fp32 cache the
@@ -79,7 +78,7 @@ struct DecodePhaseTimes
 {
     double projectionsUs = 0.0; ///< QKV/O/FFN GEMMs + norms/activations
     double appendUs = 0.0;      ///< K/V appends incl. chunk freezes
-    double historyUs = 0.0;     ///< history materialization / view building
+    double historyUs = 0.0;     ///< view building / dequantize-path copies
     double attentionUs = 0.0;   ///< per-(band, head) attention + trim
     int64_t steps = 0;          ///< decodeStep calls accumulated
 };
@@ -107,10 +106,11 @@ struct DecodeOptions
     /** Route TenderQuantized-cache attention through the fused
      *  integer-domain path (attentionHeadFusedQuant): scores and probs*V
      *  consume the KV chunk codes in place, with no fp32 materialization
-     *  of the history. Fp32-cache segments are unaffected (they keep the
-     *  bit-exact incremental path). The dequantize-on-read path remains
-     *  the reference oracle; fused output error vs that oracle is bounded
-     *  and recorded in BENCH_decode.json (fused_attention_nmse). */
+     *  of the history. Fp32-cache segments are unaffected (they always
+     *  read their pages in place through attentionFp32Panel). The
+     *  dequantize-on-read path remains the reference oracle; fused output
+     *  error vs that oracle is bounded and recorded in BENCH_decode.json
+     *  (fused_attention_nmse). */
     bool fusedQuantKv = false;
     /** Batch the query heads sharing one kv head into a single multi-query
      *  attention panel per (segment, kv-head) — one stacked score GEMM /
@@ -158,6 +158,29 @@ Matrix decodeStep(SyntheticModel &model, const Matrix &x,
                   const DecodeOptions &options,
                   const std::vector<PreparedProjections> &projections,
                   const KernelContext &kc);
+
+/**
+ * Fp32-KV attention for a multi-query panel, reading the cache pages in
+ * place: the counterpart of attentionPanelIncremental over a KVPageView
+ * instead of a materialized history. `q` stacks `heads` query heads
+ * head-major as in attentionFusedQuantPanel (rows [h*t, (h+1)*t) are
+ * head h's new tokens at positions pos0 .. pos0+t-1, t = q.rows() /
+ * heads), and `kv` is the history as the band's last position reads it.
+ *
+ * Same bits as attentionPanelIncremental over keys()/values() on every
+ * arm (tests/test_runtime.cc): scores come from register tiles of
+ * independent sums vectorized across the keys of a channel-major K page,
+ * each the golden double dot of tensor/gemm.h in ascending channel, then
+ * the float scale; softmax replays softmaxRows' arithmetic; probs * V
+ * keeps its double accumulators in registers across the V rows. Softmax
+ * and probs * V visit only each row's unmasked keys. For finite values
+ * that drops only +0.0 probabilities, whose ±0.0 terms cannot change a
+ * sum that starts at +0.0, so a row never reads a K or V row past its
+ * own position — not even a NaN one — and decode equals prefill by
+ * construction. Single-threaded: the decode engine fans panels out.
+ */
+Matrix attentionFp32Panel(const Matrix &q, int heads, const KVPageView &kv,
+                          int pos0);
 
 /**
  * Fused quantized-KV attention for a multi-query panel: the
@@ -261,8 +284,16 @@ class Vocab
     Matrix logits(const Matrix &hidden, int row,
                   const KernelContext &kc) const;
 
-    /** Greedy next token: argmax over logits(), ties toward the lowest
-     *  token id. */
+    /** Logits of every row of `hidden` (rows x vocab) as one stacked
+     *  product. Row i equals logits(hidden, i, kc) bit for bit on every
+     *  arm, because the readout kernels are row-local. */
+    Matrix logits(const Matrix &hidden, const KernelContext &kc) const;
+
+    /** Greedy token of a 1 x vocab logits row: argmax, ties toward the
+     *  lowest token id. */
+    static int argmax(const Matrix &logits);
+
+    /** Greedy next token: argmax(logits(hidden, row, kc)). */
     int argmaxToken(const Matrix &hidden, int row,
                     const KernelContext &kc) const;
 

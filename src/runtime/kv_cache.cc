@@ -281,26 +281,41 @@ KVCache::chunkSlotOf(const Store &store, int chunk) const
 }
 
 void
-KVCache::appendStore(Store &store, const Matrix &rows, int row0, int row1,
-                     int head)
+KVCache::appendStore(Store &store, bool value, const Matrix &rows, int row0,
+                     int row1, int head)
 {
     const int dh = headDim_;
     const int c0 = head * dh;
     if (config_.mode == KVCacheMode::Fp32) {
-        for (int r = row0; r < row1; ++r) {
-            const int tok = store.rows;
-            ensureBlocks(store, tok / blockTokens_);
-            if (tok / blockTokens_ == store.sharedTailBlock)
+        // One run of rows per page they land in.
+        for (int r = row0; r < row1;) {
+            const int block = store.rows / blockTokens_;
+            ensureBlocks(store, block);
+            if (block == store.sharedTailBlock)
                 cowTailBlock(store);
             // Indexed, not blocks.back(): after truncateRows the table
             // keeps its trailing blocks, so the write target may not be
             // the last allocated block.
-            float *dst =
-                pool_->fp32Rows(store.blocks[size_t(tok / blockTokens_)]) +
-                size_t(tok % blockTokens_) * size_t(dh);
-            const float *src = rows.rowPtr(r) + c0;
-            std::copy(src, src + dh, dst);
-            ++store.rows;
+            float *page = pool_->fp32Rows(store.blocks[size_t(block)]);
+            const int x0 = store.rows % blockTokens_;
+            const int n = std::min(row1 - r, blockTokens_ - x0);
+            if (value) {
+                for (int x = 0; x < n; ++x) {
+                    const float *src = rows.rowPtr(r + x) + c0;
+                    std::copy(src, src + dh,
+                              page + size_t(x0 + x) * size_t(dh));
+                }
+            } else {
+                // Channel-major K page (the KVPageView layout).
+                for (int c = 0; c < dh; ++c) {
+                    float *dst = page + size_t(c) * size_t(blockTokens_) +
+                        size_t(x0);
+                    for (int x = 0; x < n; ++x)
+                        dst[x] = rows.rowPtr(r + x)[c0 + c];
+                }
+            }
+            store.rows += n;
+            r += n;
         }
         return;
     }
@@ -497,28 +512,38 @@ KVCache::appendRowsImpl(int layer, const Matrix &k, const Matrix &v,
                      << length_ << ", appending " << t << ")");
 
     for (int h = 0; h < model_.kvHeads; ++h) {
-        appendStore(storeOf(layer, h, false), k, row0, row0 + t, h);
-        appendStore(storeOf(layer, h, true), v, row0, row0 + t, h);
+        appendStore(storeOf(layer, h, false), false, k, row0, row0 + t, h);
+        appendStore(storeOf(layer, h, true), true, v, row0, row0 + t, h);
     }
     layerLength_[size_t(layer)] += t;
     length_ = std::max(length_, layerLength_[size_t(layer)]);
 }
 
 Matrix
-KVCache::materialize(const Store &store, int pos) const
+KVCache::materialize(const Store &store, bool value, int pos) const
 {
     TENDER_CHECK(pos >= 0);
     const int reader = std::min(pos, store.rows);
     const int rows = std::min(reader + 1, store.rows);
     Matrix out(rows, headDim_);
     if (config_.mode == KVCacheMode::Fp32) {
-        // Walk the block table, bulk-copying each page's occupied rows.
+        // Walk the block table: V pages copy in bulk, K pages transpose
+        // back from channel-major.
         for (int tok = 0; tok < rows; tok += blockTokens_) {
             const int n = std::min(blockTokens_, rows - tok);
             const float *src =
                 pool_->fp32Rows(store.blocks[size_t(tok / blockTokens_)]);
-            std::copy(src, src + size_t(n) * size_t(headDim_),
-                      out.rowPtr(tok));
+            if (value) {
+                std::copy(src, src + size_t(n) * size_t(headDim_),
+                          out.rowPtr(tok));
+                continue;
+            }
+            for (int x = 0; x < n; ++x) {
+                float *dst = out.rowPtr(tok + x);
+                for (int c = 0; c < headDim_; ++c)
+                    dst[c] = src[size_t(c) * size_t(blockTokens_) +
+                                 size_t(x)];
+            }
         }
         return out;
     }
@@ -571,16 +596,37 @@ KVCache::codeView(const Store &store, int pos) const
     return v;
 }
 
+KVPageView
+KVCache::pageView(int layer, int head, int pos) const
+{
+    TENDER_REQUIRE(config_.mode == KVCacheMode::Fp32,
+                   "KV page views exist only for Fp32 caches");
+    TENDER_CHECK(pos >= 0);
+    const Store &ks = storeOf(layer, head, false);
+    const Store &vs = storeOf(layer, head, true);
+    KVPageView v;
+    v.blockTokens = blockTokens_;
+    v.rows = std::min(std::min(pos, ks.rows) + 1, ks.rows);
+    const size_t pages = size_t((v.rows + blockTokens_ - 1) / blockTokens_);
+    v.keys.reserve(pages);
+    v.values.reserve(pages);
+    for (size_t p = 0; p < pages; ++p) {
+        v.keys.push_back(pool_->fp32Rows(ks.blocks[p]));
+        v.values.push_back(pool_->fp32Rows(vs.blocks[p]));
+    }
+    return v;
+}
+
 Matrix
 KVCache::keys(int layer, int head, int pos) const
 {
-    return materialize(storeOf(layer, head, false), pos);
+    return materialize(storeOf(layer, head, false), false, pos);
 }
 
 Matrix
 KVCache::values(int layer, int head, int pos) const
 {
-    return materialize(storeOf(layer, head, true), pos);
+    return materialize(storeOf(layer, head, true), true, pos);
 }
 
 KVCodeView

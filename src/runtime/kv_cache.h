@@ -8,7 +8,9 @@
  *  - Fp32: rows are stored verbatim — the numerical reference. Decode
  *    against an Fp32 cache is bit-identical to running prefill over the
  *    full sequence (asserted in tests/test_runtime.cc), and the paging
- *    granularity never changes results (tests/test_paged_kv.cc).
+ *    granularity never changes results (tests/test_paged_kv.cc). A K
+ *    page is channel-major and a V page row-major (KVPageView), so
+ *    attention reads the pages in place.
  *  - TenderQuantized: rows are stored as int8 codes grouped into
  *    row-chunks of `tender.rowChunk` tokens. Each chunk carries Tender
  *    per-chunk metadata (channel decomposition into power-of-two scale
@@ -139,6 +141,26 @@ struct KVCodeView
     const float *open = nullptr;
 };
 
+/**
+ * Zero-copy read view of one (layer, kv-head) fp32 history as a query at
+ * some position `pos` reads it: rows [0, min(pos + 1, length())), the
+ * same rows keys()/values() return, as page pointers straight into the
+ * block-allocator pool in logical-row order. A K page is channel-major —
+ * row x, channel c at c * blockTokens + x — so a score tile reads
+ * consecutive keys of one channel from one contiguous run; a V page is
+ * row-major, row x at x * headDim. Consumed by attentionFp32Panel
+ * (runtime/decode_engine). The view borrows the pages: the next append
+ * to the store (which may COW its tail page), truncateRows() and
+ * releaseAll() invalidate it.
+ */
+struct KVPageView
+{
+    std::vector<const float *> keys;   ///< channel-major K pages
+    std::vector<const float *> values; ///< row-major V pages
+    int blockTokens = 0;               ///< rows per page
+    int rows = 0;                      ///< history rows read
+};
+
 class KVCache
 {
   public:
@@ -202,8 +224,11 @@ class KVCache
     static constexpr int kNextRow = std::numeric_limits<int>::max();
 
     /** Materialized key history of (layer, kv-head) as a query at
-     *  position `pos` reads it: rows [0, min(pos + 1, length())). Fp32
-     *  blocks are copied verbatim. In quantized mode the chunks before
+     *  position `pos` reads it: rows [0, min(pos + 1, length())), each
+     *  as it was appended. The decode path reads fp32 pages through
+     *  pageView() instead; this copy serves the dequantize arm and the
+     *  tests. Fp32 K pages are transposed back from channel-major, V
+     *  pages copied verbatim. In quantized mode the chunks before
      *  pos's own chunk are dequantized and the rows of pos's chunk are
      *  the fp32 rows as appended (staging must still hold them: `pos`
      *  lies in the open chunk or in one frozen since the last
@@ -217,6 +242,11 @@ class KVCache
 
     /** Materialized value history, same contract as keys(). */
     Matrix values(int layer, int head, int pos = kNextRow) const;
+
+    /** Zero-copy page view of the K and V history as a query at `pos`
+     *  reads it (Fp32 mode only; same rows as keys()/values()); see
+     *  KVPageView for the layout and lifetime rules. */
+    KVPageView pageView(int layer, int head, int pos = kNextRow) const;
 
     /** Zero-copy chunk-code view of the key history as a query at `pos`
      *  reads it (quantized mode only; same rows as keys()); see
@@ -348,11 +378,11 @@ class KVCache
     const Store &storeOf(int layer, int head, bool value) const;
     void appendRowsImpl(int layer, const Matrix &k, const Matrix &v,
                         int row0, int rows);
-    void appendStore(Store &store, const Matrix &rows, int row0, int row1,
-                     int head);
+    void appendStore(Store &store, bool value, const Matrix &rows, int row0,
+                     int row1, int head);
     void freezeChunk(Store &store, int chunk);
     const float *stagedRow(const Store &store, int row) const;
-    Matrix materialize(const Store &store, int pos) const;
+    Matrix materialize(const Store &store, bool value, int pos) const;
     KVCodeView codeView(const Store &store, int pos) const;
     int allocateBlock();
     void ensureBlocks(Store &store, int block_index);

@@ -253,12 +253,11 @@ ServeSession::submit(const ServeRequest &request)
     gen.priority = request.priority;
     gen.speculation = request.speculation;
     Track *t = &track; // stable address (owned by tracks_)
-    gen.decode = [this, t](const Matrix &hidden, int row,
-                           const KernelContext &kc) {
+    gen.decode = [t](const Matrix &logits) {
         // Position (== tokens drawn so far) seeds the stream, so the
         // draw depends only on the request and the logits row.
-        return sampleToken(scheduler_.vocab().logits(hidden, row, kc),
-                           t->spec.sampling, int(t->generated.size()));
+        return sampleToken(logits, t->spec.sampling,
+                           int(t->generated.size()));
     };
     gen.onToken = [this, t](int token) { return onToken(*t, token); };
     gen.onAdmit = [this, t]() {

@@ -84,17 +84,6 @@ scaleRange(Matrix &out, float s, size_t i0, size_t i1)
         out.data()[i] *= s;
 }
 
-void
-causalMaskFromRange(Matrix &out, int pos0, int r0, int r1)
-{
-    const float neg_inf = -std::numeric_limits<float>::infinity();
-    for (int r = r0; r < r1; ++r) {
-        float *row = out.rowPtr(r);
-        for (int c = pos0 + r + 1; c < out.cols(); ++c)
-            row[c] = neg_inf;
-    }
-}
-
 } // namespace functional_detail
 
 Matrix
@@ -151,7 +140,9 @@ causalMaskFrom(const Matrix &scores, int pos0)
 {
     TENDER_CHECK(pos0 >= 0);
     Matrix out = scores;
-    functional_detail::causalMaskFromRange(out, pos0, 0, out.rows());
+    for (int r = 0; r < out.rows(); ++r)
+        for (int c = pos0 + r + 1; c < out.cols(); ++c)
+            out(r, c) = -std::numeric_limits<float>::infinity();
     return out;
 }
 

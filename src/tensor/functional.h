@@ -53,8 +53,6 @@ void layerNormRange(const Matrix &m, const Matrix &gain, const Matrix &bias,
 void reluRange(Matrix &out, size_t i0, size_t i1);
 void geluRange(Matrix &out, size_t i0, size_t i1);
 void scaleRange(Matrix &out, float s, size_t i0, size_t i1);
-/** Row-wise mask body over rows [r0, r1); out pre-filled with scores. */
-void causalMaskFromRange(Matrix &out, int pos0, int r0, int r1);
 
 } // namespace functional_detail
 

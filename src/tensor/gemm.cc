@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
-#include <type_traits>
 
 namespace tender {
 
@@ -26,22 +25,6 @@ constexpr int kKc = 256; ///< reduction rows per block
 constexpr int kMc = 48;  ///< output rows per block
 constexpr int kNc = 128; ///< output columns per block
 constexpr int kTransposedColTile = 8; ///< gemmTransposedB tile columns
-
-template <int N> using Int = std::integral_constant<int, N>;
-
-/** Call band(Int<R>{}, i) over rows [r0, r1) in bands of R = MR rows, the
- *  rows left over forming one smaller band. */
-template <int MR, class Band>
-inline void
-forEachBand(int r0, int r1, const Band &band)
-{
-    int i = r0;
-    for (; i + MR <= r1; i += MR)
-        band(Int<MR>{}, i);
-    if constexpr (MR > 1)
-        if (i < r1)
-            forEachBand<MR - 1>(i, r1, band);
-}
 
 /** Reduction rows [p0, p1) of the output block at (i0, j0). Blocks
  *  after the first start from the double sums the previous one left in

@@ -25,6 +25,7 @@
 #define TENDER_TENSOR_GEMM_H
 
 #include <cstdint>
+#include <type_traits>
 
 #include "tensor/matrix.h"
 
@@ -73,6 +74,23 @@ Matrix addRowVector(const Matrix &m, const Matrix &row);
 /** Row-band kernel bodies shared by the serial reference above and the
  *  threaded backend of tensor/kernels.h. Any band gives the same bits. */
 namespace gemm_detail {
+
+template <int N> using Int = std::integral_constant<int, N>;
+
+/** Call band(Int<R>{}, i) over rows [r0, r1) in bands of R = MR rows, the
+ *  rows left over forming one smaller band: how the register-tiled
+ *  kernels instantiate their tile heights. */
+template <int MR, class Band>
+inline void
+forEachBand(int r0, int r1, const Band &band)
+{
+    int i = r0;
+    for (; i + MR <= r1; i += MR)
+        band(Int<MR>{}, i);
+    if constexpr (MR > 1)
+        if (i < r1)
+            forEachBand<MR - 1>(i, r1, band);
+}
 
 /** Rows per task of the threaded backend's fp32 gemm. */
 constexpr int kGemmRowBlock = 64;

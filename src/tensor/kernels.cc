@@ -320,19 +320,6 @@ KernelContext::layerNorm(const Matrix &m, const Matrix &gain,
     return out;
 }
 
-Matrix
-KernelContext::causalMaskFrom(const Matrix &scores, int pos0) const
-{
-    if (backend_ == Backend::Serial)
-        return tender::causalMaskFrom(scores, pos0);
-    TENDER_CHECK(pos0 >= 0);
-    Matrix out = scores;
-    pool_->parallelFor(0, scores.rows(), 1, [&](int64_t r0, int64_t r1) {
-        functional_detail::causalMaskFromRange(out, pos0, int(r0), int(r1));
-    });
-    return out;
-}
-
 KernelContext &
 defaultKernels()
 {

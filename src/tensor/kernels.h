@@ -24,11 +24,16 @@
  *              kernels stay row-local and partition-independent, so the
  *              runtime's determinism invariants (decode == prefill,
  *              batch/order/worker independence) hold bit-exactly
- *              *within* the arm. Every op without a packed microkernel
- *              dispatches the threaded body. When SIMD is disabled at
- *              runtime (TENDER_SIMD=off, util/cpu_features.h), asking
- *              for Packed yields a Threaded context — the kill switch
- *              back to full bit-parity.
+ *              *within* the arm. Attention does not run on them: the
+ *              fp32 attention chains (model/transformer's attention
+ *              functions, the decode runtime's page kernel) compute the
+ *              golden arithmetic on every arm, so on Packed only the
+ *              projections and the readout use the SIMD fp32 sums.
+ *              Every op without a packed microkernel dispatches the
+ *              threaded body. When SIMD is disabled at runtime
+ *              (TENDER_SIMD=off, util/cpu_features.h), asking for Packed
+ *              yields a Threaded context — the kill switch back to full
+ *              bit-parity.
  *
  * The process-wide default context is configured from the environment:
  *   TENDER_BACKEND     = serial | threaded | packed  (default threaded)
@@ -108,9 +113,6 @@ class KernelContext
     Matrix softmaxRows(const Matrix &m) const;
     Matrix layerNorm(const Matrix &m, const Matrix &gain, const Matrix &bias,
                      float eps = 1e-5f) const;
-    /** Decode-time causal mask (see causalMaskFrom in functional.h);
-     *  pos0 = 0 on a square input reproduces the prefill causalMask. */
-    Matrix causalMaskFrom(const Matrix &scores, int pos0) const;
 
   private:
     Backend backend_;

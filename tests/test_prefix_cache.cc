@@ -190,6 +190,89 @@ TEST(PrefixCacheTest, CowFaultOnWriteToSharedBlockFp32)
     EXPECT_TRUE(pool.refcountsConsistent());
 }
 
+TEST(PrefixCacheTest, Fp32KeysReturnRowsAsAppendedAfterCowAndTruncate)
+{
+    // K pages are stored channel-major and V pages row-major; keys() and
+    // values() must still return the rows as appended, and the page view
+    // must address the same elements, after a COW tail copy and after a
+    // truncateRows followed by a re-append.
+    const ModelConfig cfg = smallDecoder();
+    KVCacheConfig cache_cfg; // fp32
+    cache_cfg.blockTokens = 4;
+    BlockAllocator pool(blockPoolConfigFor(cfg, cache_cfg, 0));
+    PrefixCache prefix(cfg, cache_cfg, &pool);
+    const int dh = cfg.headDim();
+    Rng rng(37);
+    const int cols = cfg.kvHeads * dh;
+    const Matrix k = randomGaussian(10, cols, rng);
+    const Matrix v = randomGaussian(10, cols, rng);
+    const Matrix k2 = randomGaussian(5, cols, rng);
+    const Matrix v2 = randomGaussian(5, cols, rng);
+    const Matrix k3 = randomGaussian(2, cols, rng);
+    const Matrix v3 = randomGaussian(2, cols, rng);
+
+    KVCache donor(cfg, cache_cfg, &pool);
+    appendAllLayers(donor, cfg, k, v, 0, 10);
+    ASSERT_TRUE(prefix.insert(iotaTokens(10), donor));
+    std::vector<int> prompt = iotaTokens(6);
+    prompt.push_back(99);
+    const PrefixMatch m = prefix.match(prompt);
+    ASSERT_EQ(6, m.rows);
+    KVCache consumer(cfg, cache_cfg, &pool);
+    prefix.adopt(m, consumer);
+    // Rows 6..10 land in the shared tail block (COW) and the next one.
+    appendAllLayers(consumer, cfg, k2, v2, 0, 5);
+    ASSERT_EQ(int64_t(consumer.storeCount()), pool.stats().cowCopies);
+
+    // Expected rows per head: k/v rows 0..5, then k2/v2 rows 0..4.
+    const auto expect = [&](const KVCache &cache, const Matrix &tail_k,
+                            const Matrix &tail_v, int tail_rows,
+                            const char *what) {
+        for (int l = 0; l < cfg.nLayers; ++l) {
+            for (int h = 0; h < cfg.kvHeads; ++h) {
+                const Matrix keys = cache.keys(l, h);
+                const Matrix values = cache.values(l, h);
+                const KVPageView view = cache.pageView(l, h);
+                ASSERT_EQ(6 + tail_rows, keys.rows()) << what;
+                ASSERT_EQ(keys.rows(), view.rows) << what;
+                for (int r = 0; r < keys.rows(); ++r) {
+                    const bool head = r < 6;
+                    const Matrix &ks = head ? k : tail_k;
+                    const Matrix &vs = head ? v : tail_v;
+                    const int sr = head ? r : r - 6;
+                    const float *kpage =
+                        view.keys[size_t(r / view.blockTokens)];
+                    const float *vpage =
+                        view.values[size_t(r / view.blockTokens)];
+                    const int x = r % view.blockTokens;
+                    for (int c = 0; c < dh; ++c) {
+                        EXPECT_EQ(ks(sr, h * dh + c), keys(r, c))
+                            << what << " K row " << r;
+                        EXPECT_EQ(vs(sr, h * dh + c), values(r, c))
+                            << what << " V row " << r;
+                        EXPECT_EQ(keys(r, c),
+                                  kpage[c * view.blockTokens + x]);
+                        EXPECT_EQ(values(r, c), vpage[x * dh + c]);
+                    }
+                }
+            }
+        }
+    };
+    expect(consumer, k2, v2, 5, "after COW");
+
+    // Pop three rows (across a page boundary) and re-append two others.
+    consumer.truncateRows(3);
+    appendAllLayers(consumer, cfg, k3, v3, 0, 2);
+    Matrix tail_k = k2.rowSlice(0, 4), tail_v = v2.rowSlice(0, 4);
+    for (int r = 0; r < 2; ++r)
+        for (int c = 0; c < cols; ++c) {
+            tail_k(2 + r, c) = k3(r, c);
+            tail_v(2 + r, c) = v3(r, c);
+        }
+    expect(consumer, tail_k, tail_v, 4, "after truncate + re-append");
+    EXPECT_TRUE(pool.refcountsConsistent());
+}
+
 TEST(PrefixCacheTest, QuantizedSharedCodesBitIdenticalAndCowOnOpenSlot)
 {
     // rowChunk 4, blockTokens 8: two chunks per page, so a chunk-aligned

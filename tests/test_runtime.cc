@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/tender_scheme.h"
 #include "model/quant_executor.h"
 #include "model/workload.h"
@@ -157,6 +160,18 @@ TEST(DecodeEngine, Fp32CacheMatchesPrefillBitExact)
                 << "kvHeads=" << kv_heads << " workers=" << workers;
             EXPECT_TRUE(full == dec);
         }
+        // Packed: its projections run SIMD fp32 sums, but attention is
+        // golden on every arm, so decode still equals the arm's own
+        // modelForward.
+        setDefaultKernels(Backend::Packed, 3);
+        const Matrix packed_full = modelForward(model, input);
+        for (int step : {1, 3}) {
+            const Matrix dec =
+                teacherForcedDecode(model, input, 8, step, DecodeOptions{});
+            EXPECT_TRUE(packed_full == dec)
+                << "packed kvHeads=" << kv_heads << " step=" << step
+                << " max |diff| " << maxAbsDiff(packed_full, dec);
+        }
         setDefaultKernels(Backend::Serial);
         const Matrix full = modelForward(model, input);
         // Multi-token steps (speculative-decode shape) are equally exact.
@@ -164,6 +179,106 @@ TEST(DecodeEngine, Fp32CacheMatchesPrefillBitExact)
             teacherForcedDecode(model, input, 8, 3, DecodeOptions{});
         EXPECT_TRUE(full == dec) << "kvHeads=" << kv_heads;
     }
+}
+
+TEST(DecodeEngine, Fp32RowsBeforeANanRowMatchStepwiseDecode)
+{
+    // A row reads no K or V row past its own position, so a NaN row
+    // cannot reach the rows before it: a one-step prefill of the whole
+    // sequence equals step-by-step decode on those rows. (Multiplying the
+    // masked NaN row's values by a zero probability would give NaN.)
+    SyntheticModel model(smallDecoder(2), 7);
+    const int len = 12, nan_row = 7;
+    Matrix input = model.sampleInput(len, 3);
+    for (int c = 0; c < input.cols(); ++c)
+        input(nan_row, c) = std::numeric_limits<float>::quiet_NaN();
+    for (Backend backend :
+         {Backend::Serial, Backend::Threaded, Backend::Packed}) {
+        const KernelContext kc(backend, backend == Backend::Serial ? 1 : 3);
+        DecodeOptions options;
+        options.kernels = &kc;
+        for (bool panels : {true, false}) {
+            options.mqAttentionPanels = panels;
+            const Matrix prefill =
+                teacherForcedDecode(model, input, len, 1, options);
+            const Matrix stepwise =
+                teacherForcedDecode(model, input, 1, 1, options);
+            EXPECT_TRUE(prefill.rowSlice(0, nan_row) ==
+                        stepwise.rowSlice(0, nan_row))
+                << "backend " << int(backend) << " panels " << panels;
+            EXPECT_TRUE(std::isfinite(prefill(nan_row - 1, 0)));
+        }
+    }
+}
+
+TEST(IncrementalAttention, PageKernelMatchesMaterializedHistoryBitExact)
+{
+    // attentionFp32Panel reads the fp32 pages in place; it must equal
+    // attentionPanelIncremental over keys()/values() bit for bit on every
+    // arm, for any page size, head dim, panel shape and history length.
+    // With `cancel`, each score's first and last products are huge and
+    // cancel exactly (as cancelEnds in test_tensor.cc), so a score summed
+    // with its channels regrouped — split accumulators, or a term moved
+    // away from its place — no longer rounds to the same float.
+    const KernelContext serial(Backend::Serial);
+    const KernelContext threaded(Backend::Threaded, 3);
+    const KernelContext packed(Backend::Packed, 3);
+    int cases = 0;
+    for (int head_dim : {8, 32, 64, 128}) {
+        ModelConfig cfg = smallDecoder(2);
+        cfg.nHeads = 4;
+        cfg.dModel = cfg.nHeads * head_dim;
+        for (int block_tokens : {1, 4, 32, 64, 256})
+        for (bool cancel : {false, true}) {
+            KVCacheConfig cc;
+            cc.blockTokens = block_tokens;
+            KVCache cache(cfg, cc);
+            Rng rng(uint64_t(head_dim * 1000 + block_tokens));
+            // 83 rows: not a multiple of any row, key or channel tile.
+            const int len = 83;
+            Matrix k = randomGaussian(len, 2 * head_dim, rng);
+            const Matrix v = randomGaussian(len, 2 * head_dim, rng);
+            for (int r = 0; r < len && cancel; ++r)
+                for (int h = 0; h < 2; ++h)
+                    k(r, h * head_dim + head_dim - 1) = k(r, h * head_dim);
+            cache.append(0, k, v);
+            cache.append(1, k, v);
+            for (int heads : {1, 2}) {
+                for (int tnew : {1, 3, 5, 32, 33}) {
+                    for (int pos0 : {0, 17, len - tnew}) {
+                        const int last = pos0 + tnew - 1;
+                        Matrix q =
+                            randomGaussian(heads * tnew, head_dim, rng);
+                        for (int r = 0; r < q.rows() && cancel; ++r) {
+                            q(r, 0) *= 1073741824.f;
+                            q(r, head_dim - 1) = -q(r, 0);
+                        }
+                        const Matrix out = attentionFp32Panel(
+                            q, heads, cache.pageView(1, 1, last), pos0);
+                        const Matrix keys = cache.keys(1, 1, last);
+                        const Matrix values = cache.values(1, 1, last);
+                        for (const KernelContext *kc :
+                             {&serial, &threaded, &packed}) {
+                            const Matrix ref = heads == 1
+                                ? attentionHeadIncremental(q, keys, values,
+                                                           pos0, kc)
+                                : attentionPanelIncremental(
+                                      q, heads, keys, values, pos0, kc);
+                            EXPECT_TRUE(out == ref)
+                                << "dh " << head_dim << " blockTokens "
+                                << block_tokens << " cancel " << cancel
+                                << " heads " << heads
+                                << " rows " << tnew << " pos0 " << pos0
+                                << " backend " << int(kc->backend())
+                                << " max |diff| " << maxAbsDiff(out, ref);
+                            ++cases;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(4 * 5 * 2 * 2 * 5 * 3 * 3, cases);
 }
 
 TEST(DecodeEngine, QuantizedCacheTracksFp32AndImprovesWithSmallerChunks)
